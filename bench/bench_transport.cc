@@ -2,7 +2,7 @@
 // the in-process ThreadedNetwork, with a configurable multiplexing window
 // (in-flight requests per connection) and payload size. The parts
 // variants ship a real encoded kProduce frame through CallAsyncParts —
-// the zero-materialization path the producer and replicator use.
+// the zero-materialization path the producer and batch shipping use.
 #include <benchmark/benchmark.h>
 
 #include "bench_host_context.h"

@@ -49,7 +49,7 @@ struct Shape {
 Shape RunKerA(uint32_t streams) {
   MiniClusterConfig cfg;
   cfg.nodes = 4;
-  cfg.workers_per_node = 0;
+  cfg.transport = MiniClusterTransport::kDirect;
   cfg.vlogs_per_broker = 4;
   cfg.replication_max_batch_bytes = 64 << 10;
   MiniCluster cluster(cfg);

@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Full local check: regular build + all tests, a ThreadSanitizer build
 # running the concurrency-sensitive suites (virtual log windowed
-# replication, background replicator), an ASan+UBSan build running the
-# wire/rpc suites (the scatter-gather encode path references external
-# buffers; sanitizers catch lifetime mistakes), and the core
-# micro-benchmark emitting machine-readable JSON.
+# replication, produce handlers sharing a replication window), an
+# ASan+UBSan build running the wire/rpc suites (the scatter-gather encode
+# path references external buffers; sanitizers catch lifetime mistakes),
+# the micro-benchmarks emitting machine-readable JSON, and the tests of
+# the end-to-end socket benchmark (perfbench/).
 #
 #   ./scripts/check.sh [build_dir] [tsan_build_dir] [asan_build_dir]
 set -euo pipefail
@@ -195,5 +196,11 @@ cmake --build "$build" -j --target bench_multicore
 "$build/bench/bench_multicore" \
   --benchmark_out="$repo/BENCH_multicore.json" \
   --benchmark_out_format=json
+
+echo "== end-to-end socket benchmark: its own tests =="
+# Unit tests of the span analysis, a smoke run of every workload (the
+# correctness oracle must pass) and the stall deadline. It builds its own
+# Release tree under .bench_build/.
+(cd "$repo" && python3 perfbench/test_bench.py)
 
 echo "check.sh: all green"

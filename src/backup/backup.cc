@@ -182,14 +182,17 @@ rpc::ReplicateResponse Backup::HandleReplicate(
   }
   if (req.start_offset < seg.data.size() ||
       (req.payload.empty() && req.start_offset == seg.data.size())) {
-    if (req.payload.empty() && req.seals && !seg.sealed &&
+    if (req.payload.empty() && req.seals &&
         req.start_offset < seg.data.size()) {
       // Seal below our size: the primary aborted a batch we had already
       // applied and evacuated its refs to a fresh segment, then sealed
       // this one at its retained length. The surplus suffix is disowned
       // (its chunks live in the evacuation target now) — truncate to the
       // sealed length and re-derive the prefix checksum, or this copy
-      // would diverge forever and reject the seal on every retry.
+      // would diverge forever and reject the seal on every retry. The
+      // aborted batch may have carried the seal flag and sealed this copy
+      // at the longer length; an empty seal is always the primary's final
+      // length, so it overrides that seal.
       uint32_t crc = 0;
       uint32_t chunks = 0;
       std::span<const std::byte> scan{seg.data.data(),
@@ -215,7 +218,13 @@ rpc::ReplicateResponse Backup::HandleReplicate(
         log_->EnqueueTruncate(LogKey(key), req.start_offset, chunks, crc);
       }
       ++stats_.replicate_rpcs;
-      apply_seal(true);
+      if (!seg.sealed) {
+        apply_seal(true);
+      } else if (log_ != nullptr) {
+        seg.seal_ticket = log_->EnqueueSeal(LogKey(key), seg.data.size(),
+                                            seg.chunk_count,
+                                            seg.running_checksum);
+      }
       resp.status = StatusCode::kOk;
       return resp;
     }

@@ -50,17 +50,9 @@ Broker::Broker(BrokerConfig config, rpc::Network& network)
     to.async_readahead = config_.async_readahead;
     tiered_ = std::make_unique<TieredStore>(to, memory_);
   }
-  if (config_.replication_workers > 0) {
-    replicator_ = std::make_unique<Replicator>(
-        *this, config_.replication_workers, shards_ > 1);
-  }
 }
 
 Broker::~Broker() { StopConsumeWaits(); }
-
-void Broker::StopReplicator() {
-  if (replicator_ != nullptr) replicator_->Stop();
-}
 
 void Broker::StopConsumeWaits() {
   consume_waits_stopped_.store(true, std::memory_order_release);
@@ -625,47 +617,6 @@ rpc::ProduceResponse Broker::HandleProduce(const rpc::ProduceRequest& req) {
     ref.loc.group = d.group;
     ref.loc.group_chunk_index = d.group_chunk_index;
     dup_refs.emplace_back(d.vlog, ref);
-  }
-
-  // Background replication: wake the worker pool for the touched vlogs
-  // and park on the group-commit waiters. Workers fill the replication
-  // window; every producer whose chunks ride in a completed batch wakes
-  // together, so many produce RPCs share one large replicated I/O.
-  if (replicator_ != nullptr) {
-    for (auto& [vlog, ref] : positions) {
-      (void)ref;
-      replicator_->Notify(vlog);
-    }
-    // Duplicate retries also nudge the workers: the original request may
-    // have failed mid-replication, leaving the chunk queued but nobody
-    // pushing it.
-    for (auto& [vlog, ref] : dup_refs) {
-      (void)ref;
-      replicator_->Notify(vlog);
-    }
-    for (auto& [vlog, ref] : positions) {
-      Status s = vlog->WaitChunkDurable(ref);
-      if (!s.ok()) {
-        resp.status = s.code();
-        return resp;
-      }
-    }
-    for (auto& [vlog, ref] : dup_refs) {
-      Status s = vlog->WaitChunkDurable(ref);
-      if (!s.ok()) {
-        resp.status = s.code();
-        return resp;
-      }
-    }
-    // With R=1 chunks are durable at append time and no replication batch
-    // ever ships, so the batch-completion wakeup never fires — notify the
-    // parked long-polls of every shard this request touched. (Redundant
-    // with the batch wakeup for R>1; waiters re-check their predicate.)
-    for (uint32_t s : touched_shards) NotifyConsumeWaiters(*entry, s);
-    if (tiered_ != nullptr) {
-      for (uint32_t s : touched_shards) tiered_->Pump(s);
-    }
-    return resp;
   }
 
   // Once all chunks of the request are appended, synchronize the touched

@@ -17,7 +17,6 @@
 #include <utility>
 #include <vector>
 
-#include "broker/replicator.h"
 #include "broker/shard_mailbox.h"
 #include "broker/tiered_store.h"
 #include "common/status.h"
@@ -59,10 +58,6 @@ struct BrokerConfig {
   /// Max replication batches in flight per virtual log (1 = the classic
   /// synchronous stop-and-wait pipeline; >1 overlaps round-trips).
   uint32_t replication_window = 1;
-  /// Background replication worker threads. 0 disables the background
-  /// replicator: produce handlers drive replication synchronously on the
-  /// RPC thread (the original behavior; also what the DES needs).
-  uint32_t replication_workers = 0;
   /// Server-side cap on ConsumeRequest::max_wait_us (long-poll): a parked
   /// consume request never outlives this, no matter what the client asks
   /// for, so handler threads are reclaimed on a bounded schedule.
@@ -271,27 +266,24 @@ class Broker final : public rpc::RpcHandler {
   /// group and fully replicated virtual segments. Returns groups trimmed.
   size_t TrimDurable();
 
-  /// Quiescence helper (deterministic tests): drives every virtual log's
-  /// pending replication work to completion on the calling thread. Only
-  /// meaningful with replication_workers == 0 — no background pollers
-  /// compete for the batches. Gives up after `max_failed_batches` failed
-  /// ship attempts (a dead backup would otherwise mean an endless
+  /// Quiescence helper (deterministic tests, chaos quiescence): drives
+  /// every virtual log's pending replication work — data left behind by
+  /// failed produce requests and seal batches — to completion on the
+  /// calling thread. Gives up after `max_failed_batches` failed ship
+  /// attempts (a dead backup would otherwise mean an endless
   /// abort/evacuate/retry loop); returns true when every vlog drained.
   bool DrainReplication(int max_failed_batches = 8);
 
-  /// Stops the background replication workers (no-op when disabled).
-  /// Must be called before the network the broker ships through is shut
-  /// down; the destructor also stops them.
-  void StopReplicator();
+  /// No-op. Produce handlers ship replication batches on their own
+  /// thread, so there are no replication workers to stop; kept only
+  /// because the end-to-end benchmark server still calls it.
+  void StopReplicator() {}
 
   /// Wakes every parked long-poll consume request and makes subsequent
   /// ones return immediately. Call before shutting down the transport that
   /// delivers consume RPCs so its handler threads are not held until the
   /// poll deadline; the destructor also calls it.
   void StopConsumeWaits();
-
-  /// The background replicator, or nullptr when replication_workers == 0.
-  [[nodiscard]] Replicator* replicator() const { return replicator_.get(); }
 
   /// The tiered segment store, or nullptr when memory_budget_bytes == 0
   /// (unbounded: every segment stays resident).
@@ -523,10 +515,6 @@ class Broker final : public rpc::RpcHandler {
   /// Declared after streams_ so it is destroyed first — it references
   /// Streamlet/Group/Segment objects the streams own.
   std::unique_ptr<TieredStore> tiered_;
-
-  // Declared last: destroyed first, so worker threads stop while the
-  // vlogs/streams they reference are still alive.
-  std::unique_ptr<Replicator> replicator_;
 };
 
 }  // namespace kera

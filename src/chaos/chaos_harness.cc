@@ -119,7 +119,6 @@ class Harness {
   bool Setup() {
     MiniClusterConfig cfg;
     cfg.nodes = sched_.nodes;
-    cfg.workers_per_node = 0;
     cfg.broker_memory_bytes = 64u << 20;
     // Tiny geometry: a handful of chunks rolls segments, groups and
     // virtual segments, so every schedule exercises rotation, sealing and
@@ -130,7 +129,6 @@ class Harness {
     cfg.replication_max_batch_bytes = 1536;
     cfg.vlogs_per_broker = 2;
     cfg.replication_window = 2;
-    cfg.replication_workers = 0;  // single-threaded: determinism
     // The mailbox/Execute machinery degenerates to synchronous inline
     // execution when one thread drives everything, so sharded runs stay
     // deterministic too.

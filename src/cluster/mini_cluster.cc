@@ -23,7 +23,6 @@ BrokerConfig MiniCluster::BrokerConfigFor(NodeId node) const {
   bc.replication_max_batch_bytes = config_.replication_max_batch_bytes;
   bc.vlogs_per_broker = config_.vlogs_per_broker;
   bc.replication_window = config_.replication_window;
-  bc.replication_workers = config_.replication_workers;
   bc.max_consume_wait_us = config_.max_consume_wait_us;
   bc.shards = config_.broker_shards;
   bc.memory_budget_bytes = config_.broker_memory_budget_bytes;
@@ -162,17 +161,15 @@ MiniCluster::MiniCluster(MiniClusterConfig config)
   if (config_.external_network != nullptr) {
     network_ = config_.external_network;
   } else {
-    MiniClusterTransport transport = config_.transport;
-    if (transport == MiniClusterTransport::kAuto) {
-      transport = config_.workers_per_node > 0
-                      ? MiniClusterTransport::kThreaded
-                      : MiniClusterTransport::kDirect;
-    }
-    recovery_threads = transport == MiniClusterTransport::kThreaded ||
-                       transport == MiniClusterTransport::kSocket;
-    switch (transport) {
-      case MiniClusterTransport::kAuto:  // resolved above
+    recovery_threads = config_.transport == MiniClusterTransport::kThreaded ||
+                       config_.transport == MiniClusterTransport::kSocket;
+    switch (config_.transport) {
       case MiniClusterTransport::kThreaded:
+        if (config_.workers_per_node < 1) {
+          // A threaded network without workers would hang every RPC.
+          KERA_ERROR("MiniCluster: kThreaded needs workers_per_node >= 1");
+          std::abort();
+        }
         threaded_ =
             std::make_unique<rpc::ThreadedNetwork>(config_.workers_per_node);
         network_ = threaded_.get();
@@ -215,12 +212,10 @@ MiniCluster::MiniCluster(MiniClusterConfig config)
 }
 
 MiniCluster::~MiniCluster() {
-  // Stop replication workers before the network: a worker mid-ShipBatch
-  // would otherwise race the queue shutdown on every teardown. Waking the
-  // consume long-pollers first keeps network shutdown from blocking on a
-  // handler thread parked until its poll deadline.
+  // Wake the consume long-pollers before the network shuts down, so the
+  // shutdown does not block on a handler thread parked until its poll
+  // deadline.
   for (auto& b : brokers_) b->StopConsumeWaits();
-  for (auto& b : brokers_) b->StopReplicator();
   if (threaded_ != nullptr) threaded_->Shutdown();
   if (socket_ != nullptr) socket_->Shutdown();
 }

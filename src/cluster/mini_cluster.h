@@ -19,8 +19,6 @@ namespace kera {
 
 /// Which Network implementation carries the cluster's RPCs.
 enum class MiniClusterTransport {
-  /// Legacy selection: workers_per_node > 0 -> kThreaded, else kDirect.
-  kAuto,
   /// DirectNetwork: handler runs inline on the caller thread.
   kDirect,
   /// ThreadedNetwork: in-process queues + worker threads per node.
@@ -31,10 +29,10 @@ enum class MiniClusterTransport {
 
 struct MiniClusterConfig {
   uint32_t nodes = 4;
-  /// Worker threads per node (RPC dispatch); 0 selects DirectNetwork.
+  /// Worker threads per node (RPC dispatch). Must be >= 1 for kThreaded;
+  /// kDirect ignores it and kSocket treats 0 as its own default.
   int workers_per_node = 4;
-  /// Transport selection; kAuto preserves the workers_per_node behavior.
-  MiniClusterTransport transport = MiniClusterTransport::kAuto;
+  MiniClusterTransport transport = MiniClusterTransport::kThreaded;
   size_t broker_memory_bytes = size_t(512) << 20;
   size_t segment_size = 1u << 20;
   uint32_t segments_per_group = 4;
@@ -42,10 +40,8 @@ struct MiniClusterConfig {
   size_t replication_max_batch_bytes = 1u << 20;
   uint32_t vlogs_per_broker = 4;
   /// Replication pipelining (see BrokerConfig): batches in flight per
-  /// vlog, and background replication worker threads per broker (0 =
-  /// synchronous replication on the produce path).
+  /// vlog.
   uint32_t replication_window = 1;
-  uint32_t replication_workers = 0;
   /// Broker-side cap on consume long-poll waits (see BrokerConfig).
   uint64_t max_consume_wait_us = 1'000'000;
   /// Shared-nothing broker shards (see BrokerConfig::shards). 0 = auto:

@@ -187,11 +187,16 @@ void SegmentLog::ApplyRecord(const RecordHeader& h, uint32_t file_id,
       break;
     }
     case RecordType::kSeal:
+      // A copy is re-sealed only at a shorter length (the primary's final
+      // empty seal after an aborted sealing batch), so the shortest seal
+      // wins, in whatever order the records are scanned.
       if (!c.sealed) ++stats_.seals_durable;
-      c.sealed = true;
-      c.seal_size = h.offset;
-      c.seal_chunks = h.chunk_count;
-      c.seal_crc = h.crc_after;
+      if (!c.sealed || h.offset < c.seal_size) {
+        c.sealed = true;
+        c.seal_size = h.offset;
+        c.seal_chunks = h.chunk_count;
+        c.seal_crc = h.crc_after;
+      }
       break;
     case RecordType::kTruncate:
       if (h.offset <= c.truncate_size) {

@@ -7,14 +7,6 @@
 
 namespace kera {
 
-namespace {
-/// Consecutive failed shipping attempts tolerated before the error is
-/// latched and surfaced to WaitChunkDurable callers. Each attempt already
-/// retries the RPCs internally and may re-target backups via evacuation,
-/// so a handful of outer retries is enough to ride over membership churn.
-constexpr int kMaxConsecutiveReplicationFailures = 4;
-}  // namespace
-
 VirtualLog::VirtualLog(VlogId id, VirtualLogConfig config,
                        BackupSelector selector)
     : id_(id), config_(config), selector_(std::move(selector)) {
@@ -50,7 +42,7 @@ VirtualSegment* VirtualLog::FindSegmentLocked(VirtualSegmentId vseg) const {
 }
 
 VirtualLog::AppendPosition VirtualLog::Append(const ChunkRef& ref) {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::unique_lock<std::mutex> lock(mu_);
   VirtualSegment* seg =
       segments_.empty() ? OpenSegmentLocked() : segments_.back().get();
   if (!seg->TryAppend(ref)) {
@@ -67,6 +59,12 @@ VirtualLog::AppendPosition VirtualLog::Append(const ChunkRef& ref) {
   if (config_.replication_factor == 1) {
     // No backups: the broker's copy is the only copy; expose immediately.
     seg->MarkReplicatedUpTo(seg->ref_count());
+    lock.unlock();
+    // This append may close a gap in a group's durable prefix that a
+    // later-indexed chunk, appended first by another producer, is parked
+    // on in WaitChunkDurableOrIdle. No batch completion will ever wake
+    // it at R=1, so the append must.
+    durable_cv_.notify_all();
   }
   return pos;
 }
@@ -164,7 +162,6 @@ void VirtualLog::ApplyCompletedPrefixLocked() {
 void VirtualLog::Complete(const ReplicationBatch& batch) {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    consecutive_failures_ = 0;
     auto it = std::find_if(
         inflight_.begin(), inflight_.end(),
         [&](const Outstanding& o) { return o.id == batch.id; });
@@ -239,16 +236,6 @@ void VirtualLog::WaitDurable(AppendPosition pos) {
   durable_cv_.wait(lock, [&] { return DurableLocked(pos); });
 }
 
-bool VirtualLog::WaitDurableOrIdle(AppendPosition pos) {
-  std::unique_lock<std::mutex> lock(mu_);
-  durable_cv_.wait(lock, [&] {
-    return DurableLocked(pos) ||
-           (inflight_.size() < config_.replication_window &&
-            HasUnissuedWorkLocked());
-  });
-  return DurableLocked(pos);
-}
-
 bool VirtualLog::WaitChunkDurableOrIdle(const ChunkRef& ref) {
   std::unique_lock<std::mutex> lock(mu_);
   durable_cv_.wait(lock, [&] {
@@ -257,30 +244,6 @@ bool VirtualLog::WaitChunkDurableOrIdle(const ChunkRef& ref) {
             HasUnissuedWorkLocked());
   });
   return ChunkDurableLocked(ref);
-}
-
-Status VirtualLog::WaitChunkDurable(const ChunkRef& ref) {
-  std::unique_lock<std::mutex> lock(mu_);
-  uint64_t epoch = error_epoch_;
-  durable_cv_.wait(lock, [&] {
-    return ChunkDurableLocked(ref) || error_epoch_ != epoch;
-  });
-  return ChunkDurableLocked(ref) ? OkStatus() : last_error_;
-}
-
-bool VirtualLog::NoteReplicationFailure(const Status& error) {
-  bool retry;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    retry = ++consecutive_failures_ <= kMaxConsecutiveReplicationFailures;
-    if (!retry) {
-      consecutive_failures_ = 0;
-      last_error_ = error;
-      ++error_epoch_;
-    }
-  }
-  if (!retry) durable_cv_.notify_all();
-  return retry;
 }
 
 size_t VirtualLog::EvacuateSegment(VirtualSegmentId vseg) {

@@ -14,10 +14,11 @@
 // requeues its range and every batch issued after it.
 //
 // Threading: appends and replication-state transitions are internally
-// synchronized; producers block in WaitDurable / WaitChunkDurable until
-// the replication pipeline (driven by whichever thread polls batches —
-// typically the broker's background Replicator) confirms their chunks.
-// The DES harness drives Poll/Complete with simulated time.
+// synchronized. The broker's produce handlers drive replication
+// themselves: whichever handler finds a window slot free polls and ships
+// the next batch, and the others park in WaitChunkDurableOrIdle until
+// their chunks are durable or a slot frees up. The DES harness drives
+// Poll/Complete with simulated time.
 #pragma once
 
 #include <condition_variable>
@@ -117,32 +118,14 @@ class VirtualLog {
   /// deployments call this from produce handlers; the DES never blocks.
   void WaitDurable(AppendPosition pos);
 
-  /// Blocks until `pos` is durable OR the caller could usefully drive
+  /// Blocks until the chunk is durable OR the caller could usefully drive
   /// replication itself (unissued work pending and a window slot free).
-  /// Returns IsDurable(pos). This is the building block of the
-  /// synchronous produce handler's replicate-or-wait loop: whichever
-  /// worker thread finds the vlog pollable ships the next batch, and the
-  /// others sleep.
-  [[nodiscard]] bool WaitDurableOrIdle(AppendPosition pos);
-
-  /// Like WaitDurableOrIdle but tracks durability through the chunk's
-  /// group (robust to segment evacuation, which renumbers positions).
-  /// Returns whether the chunk is durable.
+  /// Durability is tracked through the chunk's group (robust to segment
+  /// evacuation, which renumbers positions). Returns whether the chunk is
+  /// durable. This is the building block of the produce handler's
+  /// replicate-or-wait loop: whichever worker thread finds the vlog
+  /// pollable ships the next batch, and the others sleep.
   [[nodiscard]] bool WaitChunkDurableOrIdle(const ChunkRef& ref);
-
-  /// Blocks until the chunk is durable or replication of this log fails
-  /// persistently (see NoteReplicationFailure). Returns OkStatus() when
-  /// durable, the replication error otherwise. Producers parked on the
-  /// background replicator use this: they never drive replication
-  /// themselves, so plain WaitDurable could hang on a dead backup set.
-  [[nodiscard]] Status WaitChunkDurable(const ChunkRef& ref);
-
-  /// Records a failed shipping attempt. Returns true if the caller should
-  /// retry (the failure budget is not yet exhausted); after too many
-  /// consecutive failures it latches the error, wakes WaitChunkDurable
-  /// callers with it, resets the budget, and returns false. Any Complete
-  /// resets the consecutive-failure counter.
-  bool NoteReplicationFailure(const Status& error);
 
   /// Backup-failure handling: closes the segment, moves its unreplicated
   /// refs (in order) to a fresh segment with a newly selected backup set,
@@ -226,12 +209,6 @@ class VirtualLog {
 
   std::deque<Outstanding> inflight_;  // issue order
   uint64_t next_batch_id_ = 1;
-
-  // Persistent-failure latch for background replication (WaitChunkDurable
-  // returns last_error_ to waiters whenever error_epoch_ advances).
-  int consecutive_failures_ = 0;
-  uint64_t error_epoch_ = 0;
-  Status last_error_ = OkStatus();
 
   Stats stats_;
 };

@@ -177,6 +177,41 @@ std::vector<Rec> TornWriteScript() {
   return script;
 }
 
+TEST(SegmentLogTest, ShortestSealWinsInEitherRecordOrder) {
+  // A copy sealed by a batch the primary then aborted is re-sealed at
+  // the shorter retained length (truncate + seal). GC may relocate the
+  // old seal record behind the new one, so the restart scan must keep
+  // the shortest seal whatever order it meets them in.
+  SegmentLogOptions opts;
+  opts.gc_live_ratio = 0;
+  const CopyKey key{NodeId(1), VlogId(0), VirtualSegmentId(7)};
+  const size_t kLen = 512;
+  for (bool long_seal_last : {false, true}) {
+    SCOPED_TRACE(long_seal_last ? "long seal last" : "long seal first");
+    std::string dir = FreshDir("kera_seglog_reseal");
+    {
+      SegmentLog log(dir, opts);
+      log.EnqueueOpen(key);
+      log.EnqueueAppend(key, 0, Pattern(kLen, 1), 1, 11);
+      log.EnqueueAppend(key, kLen, Pattern(kLen, 2), 1, 22);
+      if (!long_seal_last) log.EnqueueSeal(key, 2 * kLen, 2, 22);
+      log.EnqueueTruncate(key, kLen, 1, 11);
+      log.EnqueueSeal(key, kLen, 1, 11);
+      if (long_seal_last) log.EnqueueSeal(key, 2 * kLen, 2, 22);
+      ASSERT_TRUE(log.Sync().ok());
+    }
+    SegmentLog log(dir, opts);
+    ASSERT_TRUE(log.status().ok());
+    auto copies = Snapshot(log);
+    ASSERT_EQ(copies.size(), 1u);
+    EXPECT_TRUE(copies[0].sealed);
+    EXPECT_EQ(copies[0].size, uint64_t(kLen));
+    EXPECT_EQ(copies[0].chunk_count, 1u);
+    EXPECT_EQ(copies[0].running_checksum, 11u);
+    fs::remove_all(dir);
+  }
+}
+
 TEST(SegmentLogTest, TornWriteRecoversDurablePrefixAtEveryCut) {
   auto script = TornWriteScript();
 

@@ -141,6 +141,37 @@ TEST_F(BackupTest, StaleRequeuedBatchDroppedFromBuffer) {
   EXPECT_EQ(backup_.GetStats().checksum_failures, 0u);
 }
 
+TEST_F(BackupTest, EmptySealBelowSealedLengthTruncatesCopy) {
+  // The primary ships c2 as the segment's sealing batch; this backup
+  // applies it, but the batch fails on another backup, so the primary
+  // evacuates c2 to a fresh segment and seals this one after c1. The
+  // empty seal is the final length and must truncate the copy, even
+  // though the aborted batch already sealed it.
+  auto c1 = MakeChunk(1);
+  auto c2 = MakeChunk(2);
+  uint32_t crc1 = ChecksumOf(c1, 0);
+  uint32_t crc2 = ChecksumOf(c2, crc1);
+  ASSERT_EQ(backup_.HandleReplicate(MakeReplicate(c1, 1, 0, crc1)).status,
+            StatusCode::kOk);
+  ASSERT_EQ(backup_
+                .HandleReplicate(MakeReplicate(c2, 1, c1.size(), crc2,
+                                               /*seals=*/true))
+                .status,
+            StatusCode::kOk);
+
+  EXPECT_EQ(backup_
+                .HandleReplicate(
+                    MakeReplicate({}, 0, c1.size(), crc1, /*seals=*/true))
+                .status,
+            StatusCode::kOk);
+  auto list = backup_.HandleList({.crashed = 1});
+  ASSERT_EQ(list.segments.size(), 1u);
+  EXPECT_EQ(list.segments[0].chunk_count, 1u);
+  EXPECT_TRUE(list.segments[0].sealed);
+  EXPECT_EQ(backup_.GetStats().checksum_failures, 0u);
+  EXPECT_EQ(backup_.GetStats().segments_sealed, 1u);
+}
+
 TEST_F(BackupTest, CorruptChunkRejectedAtomically) {
   auto c1 = MakeChunk(1);
   auto good_crc = ChecksumOf(c1, 0);

@@ -287,13 +287,13 @@ TEST_F(BrokerTest, DebugStringSummarizesState) {
   EXPECT_NE(broker_->DebugString().find("[sealed]"), std::string::npos);
 }
 
-// Fixture for the background-replication path: workers ship batches off
-// the produce path, producers block only on durability of their own
-// chunks. Uses the threaded network so replication runs truly
-// concurrently with produce and consume.
-class BackgroundReplicationTest : public ::testing::Test {
+// Fixture for concurrent produce handlers sharing a replication window
+// wider than one batch: each handler ships batches of the vlogs it
+// touched while the others park on durability. Uses the threaded network
+// so replication runs truly concurrently with produce and consume.
+class WindowedReplicationTest : public ::testing::Test {
  protected:
-  BackgroundReplicationTest() {
+  WindowedReplicationTest() {
     BrokerConfig bc;
     bc.node = 1;
     bc.memory_bytes = 64 << 20;
@@ -302,7 +302,6 @@ class BackgroundReplicationTest : public ::testing::Test {
     bc.virtual_segment_capacity = 64 << 10;
     bc.vlogs_per_broker = 2;
     bc.replication_window = 4;
-    bc.replication_workers = 2;
     bc.backup_nodes = {BackupServiceId(1), BackupServiceId(2),
                        BackupServiceId(3)};
     broker_ = std::make_unique<Broker>(bc, net_);
@@ -314,10 +313,7 @@ class BackgroundReplicationTest : public ::testing::Test {
     net_.Register(BackupServiceId(3), backup3_.get());
   }
 
-  ~BackgroundReplicationTest() override {
-    broker_->StopReplicator();
-    net_.Shutdown();
-  }
+  ~WindowedReplicationTest() override { net_.Shutdown(); }
 
   rpc::StreamInfo MakeStream(uint32_t streamlets) {
     rpc::StreamInfo info;
@@ -340,7 +336,7 @@ class BackgroundReplicationTest : public ::testing::Test {
   std::unique_ptr<Backup> backup3_;
 };
 
-TEST_F(BackgroundReplicationTest, ProduceStormAcksImplyDurability) {
+TEST_F(WindowedReplicationTest, ProduceStormAcksImplyDurability) {
   const uint32_t kThreads = 4;
   const ChunkSeq kChunksEach = 50;
   auto info = MakeStream(kThreads);
@@ -376,26 +372,6 @@ TEST_F(BackgroundReplicationTest, ProduceStormAcksImplyDurability) {
   auto stats = broker_->GetStats();
   EXPECT_EQ(stats.chunks_appended, uint64_t(kThreads) * kChunksEach);
   EXPECT_GT(stats.replication_rpcs, 0u);
-  ASSERT_NE(broker_->replicator(), nullptr);
-  auto rstats = broker_->replicator()->GetStats();
-  EXPECT_GT(rstats.batches_shipped, 0u);
-  EXPECT_EQ(rstats.batch_failures, 0u);
-}
-
-TEST_F(BackgroundReplicationTest, BackupFailureSurfacesToProducer) {
-  auto info = MakeStream(1);
-  net_.Crash(BackupServiceId(2));
-  net_.Crash(BackupServiceId(3));
-  rpc::ProduceRequest req;
-  req.producer = 1;
-  req.stream = info.stream;
-  auto chunk = MakeChunk(info.stream, 0, 1, 1);
-  req.chunks = {chunk};
-  // The background replicator exhausts its retry budget; the blocked
-  // producer is woken with the error instead of hanging forever.
-  auto resp = broker_->HandleProduce(req);
-  EXPECT_EQ(resp.status, StatusCode::kUnavailable);
-  EXPECT_GT(broker_->replicator()->GetStats().batch_failures, 0u);
 }
 
 // ----- shared-nothing sharding: routing, counters, migration -----

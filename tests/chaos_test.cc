@@ -623,7 +623,7 @@ TEST(ChaosRegression, DuplicateRetryIsNotAckedBeforeDurability) {
   ChaosNetwork net(direct, 1);
   MiniClusterConfig cfg;
   cfg.nodes = 3;
-  cfg.workers_per_node = 0;
+  cfg.transport = MiniClusterTransport::kDirect;
   cfg.segment_size = 4 << 10;
   cfg.virtual_segment_capacity = 16 << 10;
   cfg.broker_memory_bytes = 32 << 20;

@@ -95,7 +95,7 @@ TEST(ProducerEdgeTest, RetriesAbsorbFlakyTransport) {
   // Drop 20% of requests AND 20% of responses between clients and the
   // cluster: retries + broker dedup must still deliver exactly once.
   MiniClusterConfig cfg = SmallConfig();
-  cfg.workers_per_node = 0;  // DirectNetwork under the flaky decorator
+  cfg.transport = MiniClusterTransport::kDirect;  // under the flaky decorator
   MiniCluster cluster(cfg);
   rpc::FlakyNetwork flaky(cluster.network(),
                           {.drop_request = 0.2, .drop_response = 0.2,
@@ -246,9 +246,9 @@ TEST(ConsumerEdgeTest, FlowControlPausesAndResumesUnderSlowPoller) {
 }
 
 TEST(ConsumerEdgeTest, PipelinedFetchPreservesPerGroupChunkOrder) {
-  // Depth-8 pipelining with small per-entry fetches: chunks of one group
+  // Pipelined fetches with small per-entry fetches: chunks of one group
   // must still be delivered in order (one outstanding request per group),
-  // across group rollovers.
+  // across group rollovers, at depth 1 and at depth 8.
   MiniClusterConfig cfg = SmallConfig();
   cfg.segment_size = 4 << 10;  // groups roll quickly
   MiniCluster cluster(cfg);
@@ -274,40 +274,44 @@ TEST(ConsumerEdgeTest, PipelinedFetchPreservesPerGroupChunkOrder) {
     ASSERT_TRUE(producer.Close().ok());
   }
 
-  ConsumerConfig cc;
-  cc.stream = "s";
-  cc.fetch_pipeline_depth = 8;
-  cc.max_chunks_per_entry = 2;  // many small interleaved fetches
-  Consumer consumer(cc, cluster.network());
-  ASSERT_TRUE(consumer.Connect().ok());
-  std::multiset<std::string> received;
-  std::map<std::pair<StreamletId, GroupId>, uint64_t> last_chunk;
-  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  while (received.size() < 2 * kPerProducer &&
-         std::chrono::steady_clock::now() < deadline) {
-    for (auto& rec : consumer.PollBlocking(128)) {
-      auto key = std::make_pair(rec.streamlet, rec.group);
-      auto it = last_chunk.find(key);
-      if (it != last_chunk.end()) {
-        EXPECT_GE(rec.chunk_index, it->second)
-            << "chunk order violated in streamlet " << rec.streamlet
-            << " group " << rec.group;
+  for (uint32_t depth : {1u, 8u}) {
+    SCOPED_TRACE("fetch_pipeline_depth=" + std::to_string(depth));
+    ConsumerConfig cc;
+    cc.stream = "s";
+    cc.fetch_pipeline_depth = depth;
+    cc.max_chunks_per_entry = 2;  // many small interleaved fetches
+    Consumer consumer(cc, cluster.network());
+    ASSERT_TRUE(consumer.Connect().ok());
+    std::multiset<std::string> received;
+    std::map<std::pair<StreamletId, GroupId>, uint64_t> last_chunk;
+    auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (received.size() < 2 * kPerProducer &&
+           std::chrono::steady_clock::now() < deadline) {
+      for (auto& rec : consumer.PollBlocking(128)) {
+        auto key = std::make_pair(rec.streamlet, rec.group);
+        auto it = last_chunk.find(key);
+        if (it != last_chunk.end()) {
+          EXPECT_GE(rec.chunk_index, it->second)
+              << "chunk order violated in streamlet " << rec.streamlet
+              << " group " << rec.group;
+        }
+        last_chunk[key] = rec.chunk_index;
+        received.emplace(reinterpret_cast<const char*>(rec.value.data()),
+                         rec.value.size());
       }
-      last_chunk[key] = rec.chunk_index;
-      received.emplace(reinterpret_cast<const char*>(rec.value.data()),
-                       rec.value.size());
     }
-  }
-  consumer.Close();
-  ASSERT_EQ(received.size(), size_t(2 * kPerProducer));
-  for (ProducerId p = 1; p <= 2; ++p) {
-    for (int i = 0; i < kPerProducer; ++i) {
-      ASSERT_EQ(received.count("p" + std::to_string(p) + "-" +
-                               std::to_string(i) + std::string(80, 'q')),
-                1u);
+    consumer.Close();
+    ASSERT_EQ(received.size(), size_t(2 * kPerProducer));
+    for (ProducerId p = 1; p <= 2; ++p) {
+      for (int i = 0; i < kPerProducer; ++i) {
+        ASSERT_EQ(received.count("p" + std::to_string(p) + "-" +
+                                 std::to_string(i) + std::string(80, 'q')),
+                  1u);
+      }
     }
+    EXPECT_GT(last_chunk.size(), 2u);  // several groups were actually read
   }
-  EXPECT_GT(last_chunk.size(), 2u);  // several groups were actually read
 }
 
 TEST(ConsumerEdgeTest, LongPollEliminatesIdleEmptyResponses) {

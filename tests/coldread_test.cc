@@ -69,7 +69,6 @@ struct TieredCluster {
       : spill(tag) {
     MiniClusterConfig cfg;
     cfg.nodes = 3;
-    cfg.workers_per_node = 0;
     cfg.transport = MiniClusterTransport::kDirect;
     cfg.segment_size = 4 << 10;
     cfg.segments_per_group = 2;

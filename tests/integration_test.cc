@@ -253,7 +253,7 @@ TEST(IntegrationTest, DiskBackedBackupsServeRecovery) {
                                 "/kera_disk_recovery_n" + std::to_string(n));
   }
   MiniClusterConfig cfg = FourNodeConfig();
-  cfg.workers_per_node = 0;
+  cfg.transport = MiniClusterTransport::kDirect;
   cfg.backup_dir = dir;
   cfg.segment_size = 8 << 10;            // small segments: many seals
   cfg.virtual_segment_capacity = 8 << 10;
@@ -314,7 +314,7 @@ TEST(IntegrationTest, ConsumersNeverReadUnreplicatedData) {
   // via the full RPC stack must return nothing, then everything after the
   // backups "recover".
   MiniClusterConfig cfg = FourNodeConfig();
-  cfg.workers_per_node = 0;  // DirectNetwork for precise control
+  cfg.transport = MiniClusterTransport::kDirect;  // precise control
   MiniCluster cluster(cfg);
   rpc::StreamOptions opts;
   opts.num_streamlets = 1;

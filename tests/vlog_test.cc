@@ -2,6 +2,8 @@
 // batching, durability propagation into physical storage, ordering.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <future>
 #include <string_view>
 
 #include "common/crc32c.h"
@@ -179,6 +181,35 @@ TEST_F(VirtualLogTest, ReplicationFactorOneIsImmediatelyDurable) {
   EXPECT_EQ(group_.durable_chunk_count(), 1u);
   EXPECT_FALSE(log.Poll().has_value());
   EXPECT_FALSE(log.HasWork());
+}
+
+TEST_F(VirtualLogTest, ReplicationFactorOneAppendWakesLaterChunkWaiter) {
+  // Two producers share a group: X takes chunk index 0, Y takes index 1,
+  // and Y's ref reaches the log first. Y's chunk is durable on its own
+  // but the group's durable prefix stays at 0, so Y parks. X's append
+  // closes the gap and must wake Y.
+  config_.replication_factor = 1;
+  VirtualLog log(0, config_, [](VirtualSegmentId) {
+    return std::vector<NodeId>{};
+  });
+  ChunkRef x = AppendAndRef(group_, 1, 0, 1, 1);
+  ChunkRef y = AppendAndRef(group_, 1, 0, 2, 1);
+  auto pos = log.Append(y);
+  EXPECT_EQ(group_.durable_chunk_count(), 0u);
+
+  auto waiter = std::async(std::launch::async,
+                           [&] { return log.WaitChunkDurableOrIdle(y); });
+  // Let the waiter park on the log before X's append.
+  EXPECT_EQ(waiter.wait_for(std::chrono::milliseconds(100)),
+            std::future_status::timeout);
+  log.Append(x);
+  EXPECT_EQ(group_.durable_chunk_count(), 2u);
+  const bool woke =
+      waiter.wait_for(std::chrono::seconds(5)) == std::future_status::ready;
+  EXPECT_TRUE(woke) << "R=1 append did not wake the parked waiter";
+  // Release a waiter that missed the wakeup so the test fails, not hangs.
+  if (!woke) log.EvacuateSegment(pos.vseg);
+  EXPECT_TRUE(waiter.get());
 }
 
 TEST_F(VirtualLogTest, BatchBytesCapped) {
