@@ -32,9 +32,9 @@ void BM_RecoveryReplay(benchmark::State& state) {
     MiniClusterConfig cfg;
     cfg.nodes = 4;
     cfg.transport = MiniClusterTransport::kDirect;  // deterministic
-    cfg.segment_size = 128 << 10;
-    cfg.virtual_segment_capacity = 128 << 10;
-    cfg.vlogs_per_broker = vlogs;
+    cfg.broker.segment_size = 128 << 10;
+    cfg.broker.virtual_segment_capacity = 128 << 10;
+    cfg.broker.vlogs_per_broker = vlogs;
     MiniCluster cluster(cfg);
     rpc::StreamOptions opts;
     opts.num_streamlets = 8;

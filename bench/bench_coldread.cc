@@ -35,11 +35,11 @@ std::span<const std::byte> AsBytes(const std::string& s) {
 }
 
 // Scratch root for spill logs, one per process run.
-std::string SpillTemplate(const char* tag) {
+std::string SpillRoot(const char* tag) {
   std::string root = "/tmp/kera_bench_coldread_" + std::string(tag) + "_" +
                      std::to_string(getpid());
   std::filesystem::remove_all(root);
-  return root + "/n%u";
+  return root;
 }
 
 struct BenchCluster {
@@ -47,11 +47,11 @@ struct BenchCluster {
     MiniClusterConfig cfg;
     cfg.nodes = 3;
     cfg.transport = MiniClusterTransport::kDirect;
-    cfg.segment_size = 16 << 10;
-    cfg.segments_per_group = 2;
-    cfg.virtual_segment_capacity = 256 << 10;
-    cfg.broker_memory_budget_bytes = budget;
-    if (budget > 0) cfg.broker_spill_dir = SpillTemplate(tag);
+    cfg.broker.segment_size = 16 << 10;
+    cfg.broker.segments_per_group = 2;
+    cfg.broker.virtual_segment_capacity = 256 << 10;
+    cfg.broker.memory_budget_bytes = budget;
+    if (budget > 0) cfg.broker.spill_dir = SpillRoot(tag);
     cluster = std::make_unique<MiniCluster>(cfg);
     rpc::StreamOptions opts;
     opts.num_streamlets = 1;

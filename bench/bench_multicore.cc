@@ -52,8 +52,8 @@ void BM_MulticoreProduce(benchmark::State& state) {
     MiniClusterConfig cfg;
     cfg.nodes = 1;
     cfg.transport = MiniClusterTransport::kSocket;
-    cfg.broker_shards = shards;
-    cfg.vlogs_per_broker = std::max<uint32_t>(4, shards);
+    cfg.broker.shards = shards;
+    cfg.broker.vlogs_per_broker = std::max<uint32_t>(4, shards);
     auto cluster = std::make_unique<MiniCluster>(cfg);
 
     rpc::StreamOptions opts;

@@ -96,11 +96,11 @@ void BM_MttrModeled(benchmark::State& state) {
     MiniClusterConfig cfg;
     cfg.nodes = nodes;
     cfg.transport = MiniClusterTransport::kDirect;  // serial + modeled
-    cfg.segment_size = 64 << 10;
-    cfg.virtual_segment_capacity = 32 << 10;
-    cfg.vlogs_per_broker = 8;
-    cfg.recovery_parallelism = parallelism;
-    cfg.recovery_read_batch = 8;
+    cfg.broker.segment_size = 64 << 10;
+    cfg.broker.virtual_segment_capacity = 32 << 10;
+    cfg.broker.vlogs_per_broker = 8;
+    cfg.coordinator.recovery_parallelism = parallelism;
+    cfg.coordinator.recovery_read_batch = 8;
     MiniCluster cluster(cfg);
     rpc::StreamOptions opts;
     opts.num_streamlets = nodes * 2;
@@ -146,11 +146,11 @@ void BM_Mttr512Segments(benchmark::State& state) {
     MiniClusterConfig cfg;
     cfg.nodes = 5;
     cfg.transport = MiniClusterTransport::kDirect;
-    cfg.segment_size = 32 << 10;
-    cfg.virtual_segment_capacity = 8 << 10;  // ~8 chunks per vseg
-    cfg.vlogs_per_broker = 16;
-    cfg.recovery_parallelism = parallelism;
-    cfg.recovery_read_batch = 8;
+    cfg.broker.segment_size = 32 << 10;
+    cfg.broker.virtual_segment_capacity = 8 << 10;  // ~8 chunks per vseg
+    cfg.broker.vlogs_per_broker = 16;
+    cfg.coordinator.recovery_parallelism = parallelism;
+    cfg.coordinator.recovery_read_batch = 8;
     MiniCluster cluster(cfg);
     rpc::StreamOptions opts;
     // 40 streamlets -> the victim leads 8, hashing over most of its 16
@@ -198,11 +198,11 @@ void BM_MttrSocket(benchmark::State& state) {
     cfg.nodes = 4;
     cfg.workers_per_node = 2;
     cfg.transport = MiniClusterTransport::kSocket;
-    cfg.segment_size = 32 << 10;
-    cfg.virtual_segment_capacity = 16 << 10;
-    cfg.vlogs_per_broker = 8;
-    cfg.recovery_parallelism = parallelism;
-    cfg.recovery_read_batch = 8;
+    cfg.broker.segment_size = 32 << 10;
+    cfg.broker.virtual_segment_capacity = 16 << 10;
+    cfg.broker.vlogs_per_broker = 8;
+    cfg.coordinator.recovery_parallelism = parallelism;
+    cfg.coordinator.recovery_read_batch = 8;
     MiniCluster cluster(cfg);
     rpc::StreamOptions opts;
     opts.num_streamlets = 16;  // victim leads 4 -> several replay lanes

@@ -50,8 +50,8 @@ Shape RunKerA(uint32_t streams) {
   MiniClusterConfig cfg;
   cfg.nodes = 4;
   cfg.transport = MiniClusterTransport::kDirect;
-  cfg.vlogs_per_broker = 4;
-  cfg.replication_max_batch_bytes = 64 << 10;
+  cfg.broker.vlogs_per_broker = 4;
+  cfg.broker.replication_max_batch_bytes = 64 << 10;
   MiniCluster cluster(cfg);
   rpc::StreamOptions opts;
   opts.num_streamlets = 1;

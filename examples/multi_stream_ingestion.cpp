@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
   MiniClusterConfig cluster_config;
   cluster_config.nodes = 4;
   cluster_config.workers_per_node = 2;
-  cluster_config.vlogs_per_broker = vlogs;
+  cluster_config.broker.vlogs_per_broker = vlogs;
   MiniCluster cluster(cluster_config);
 
   // Create many small streams (one partition each), all replicated 3x.

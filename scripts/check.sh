@@ -34,15 +34,6 @@ for t in vlog_test vlog_property_test broker_test client_test \
   "$tsan_build/tests/$t"
 done
 
-echo "== TSan: broker + transport suites with 2 broker shards =="
-# KERA_BROKER_SHARDS=2 makes every MiniCluster in these suites build
-# sharded brokers (per-shard reactors, mailboxes, parking), so TSan sees
-# the cross-shard paths under real thread interleavings.
-for t in broker_test transport_test; do
-  echo "-- TSan (KERA_BROKER_SHARDS=2): $t"
-  KERA_BROKER_SHARDS=2 "$tsan_build/tests/$t"
-done
-
 echo "== ASan+UBSan build (wire + rpc + crc + consume + backup suites) =="
 cmake -B "$asan_build" -S "$repo" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-omit-frame-pointer" \
@@ -61,21 +52,23 @@ echo "== chaos: bounded schedule sweeps under both sanitizers =="
 # The full 200-schedule sweep runs in the regular suite above (ctest label
 # "chaos"); under the sanitizers a bounded band keeps the stage fast while
 # still driving crashes, partitions and recovery through the instrumented
-# build. KERA_CHAOS_SCHEDULES/KERA_CHAOS_EVENTS bound the gtest sweep.
+# build. --chaos_schedules/--chaos_events bound the gtest sweep.
 cmake --build "$tsan_build" -j --target chaos_test
 echo "-- TSan: chaos_test (bounded)"
-KERA_CHAOS_SCHEDULES=40 KERA_CHAOS_EVENTS=40 "$tsan_build/tests/chaos_test"
+"$tsan_build/tests/chaos_test" --chaos_schedules=40 --chaos_events=40
 echo "-- TSan: chaos_test sharded sweep (bounded)"
-KERA_CHAOS_SCHEDULES=40 KERA_CHAOS_EVENTS=40 "$tsan_build/tests/chaos_test" \
-  --gtest_filter='ChaosSweep.ShardedBrokersHoldInvariants'
+"$tsan_build/tests/chaos_test" \
+  --gtest_filter='ChaosSweep.ShardedBrokersHoldInvariants' \
+  --chaos_schedules=40 --chaos_events=40
 echo "-- TSan: chaos_test power-loss sweep (bounded)"
 # The power-loss schedules drive the segment log's group-commit flusher,
 # torn-tail truncation and restart scan under real thread interleavings.
-KERA_CHAOS_SCHEDULES=40 KERA_CHAOS_EVENTS=40 "$tsan_build/tests/chaos_test" \
-  --gtest_filter='ChaosSweep.PowerLossSchedulesHoldInvariants'
+"$tsan_build/tests/chaos_test" \
+  --gtest_filter='ChaosSweep.PowerLossSchedulesHoldInvariants' \
+  --chaos_schedules=40 --chaos_events=40
 cmake --build "$asan_build" -j --target chaos_test
 echo "-- ASan+UBSan: chaos_test (bounded)"
-KERA_CHAOS_SCHEDULES=40 KERA_CHAOS_EVENTS=40 "$asan_build/tests/chaos_test"
+"$asan_build/tests/chaos_test" --chaos_schedules=40 --chaos_events=40
 
 echo "== exactly-once: tightened chaos band under both sanitizers =="
 # Exactly-once mode commits consumer cursors as system chunks on every
@@ -84,11 +77,13 @@ echo "== exactly-once: tightened chaos band under both sanitizers =="
 # under both instrumented builds. The TSan property suite above already
 # covers the client Commit()/resume threading.
 echo "-- TSan: chaos_test exactly-once sweep (bounded)"
-KERA_CHAOS_SCHEDULES=40 KERA_CHAOS_EVENTS=40 "$tsan_build/tests/chaos_test" \
-  --gtest_filter='ChaosSweep.ExactlyOnceSchedulesHoldInvariants:ChaosSweep.ExactlyOnceOffIsInert'
+"$tsan_build/tests/chaos_test" \
+  --gtest_filter='ChaosSweep.ExactlyOnceSchedulesHoldInvariants:ChaosSweep.ExactlyOnceOffIsInert' \
+  --chaos_schedules=40 --chaos_events=40
 echo "-- ASan+UBSan: chaos_test exactly-once sweep (bounded)"
-KERA_CHAOS_SCHEDULES=40 KERA_CHAOS_EVENTS=40 "$asan_build/tests/chaos_test" \
-  --gtest_filter='ChaosSweep.ExactlyOnceSchedulesHoldInvariants:ChaosDeterminism.ExactlyOnceSameSeedTwiceIsByteIdentical'
+"$asan_build/tests/chaos_test" \
+  --gtest_filter='ChaosSweep.ExactlyOnceSchedulesHoldInvariants:ChaosDeterminism.ExactlyOnceSameSeedTwiceIsByteIdentical' \
+  --chaos_schedules=40 --chaos_events=40
 echo "-- ASan+UBSan: exactly_once_test"
 cmake --build "$asan_build" -j --target exactly_once_test
 "$asan_build/tests/exactly_once_test"
@@ -108,8 +103,9 @@ echo "== recovery: parallel-recovery chaos sweep under ASan+UBSan =="
 # Bounded band of crash schedules with the recovery fan-out at 8: the
 # scatter/batched-read/lane machinery runs on every crash while ASan
 # watches the payload span lifetimes (spans into the batch response).
-KERA_CHAOS_SCHEDULES=40 KERA_CHAOS_EVENTS=40 "$asan_build/tests/chaos_test" \
-  --gtest_filter='ChaosSweep.ParallelRecoverySchedulesHoldInvariants:ChaosSweep.TraceIdenticalAcrossRecoveryParallelism'
+"$asan_build/tests/chaos_test" \
+  --gtest_filter='ChaosSweep.ParallelRecoverySchedulesHoldInvariants:ChaosSweep.TraceIdenticalAcrossRecoveryParallelism' \
+  --chaos_schedules=40 --chaos_events=40
 
 echo "== tiered memory: cold-read suite under both sanitizers =="
 # The cold-read suite drives eviction against in-flight zero-copy
@@ -125,11 +121,13 @@ cmake --build "$asan_build" -j --target coldread_test
 echo "-- ASan+UBSan: coldread_test"
 "$asan_build/tests/coldread_test"
 echo "-- TSan: chaos_test tiered sweep (bounded)"
-KERA_CHAOS_SCHEDULES=40 KERA_CHAOS_EVENTS=40 "$tsan_build/tests/chaos_test" \
-  --gtest_filter='ChaosSweep.TieredMemorySchedulesHoldInvariants'
+"$tsan_build/tests/chaos_test" \
+  --gtest_filter='ChaosSweep.TieredMemorySchedulesHoldInvariants' \
+  --chaos_schedules=40 --chaos_events=40
 echo "-- ASan+UBSan: chaos_test tiered sweep (bounded)"
-KERA_CHAOS_SCHEDULES=40 KERA_CHAOS_EVENTS=40 "$asan_build/tests/chaos_test" \
-  --gtest_filter='ChaosSweep.TieredMemorySchedulesHoldInvariants:ChaosDeterminism.TieredTraceIdenticalToUnbounded'
+"$asan_build/tests/chaos_test" \
+  --gtest_filter='ChaosSweep.TieredMemorySchedulesHoldInvariants:ChaosDeterminism.TieredTraceIdenticalToUnbounded' \
+  --chaos_schedules=40 --chaos_events=40
 
 echo "== recovery MTTR benchmark (JSON to BENCH_recovery.json) =="
 # Modeled MTTR vs data volume / broker count / fan-out on the

@@ -119,23 +119,24 @@ class Harness {
   bool Setup() {
     MiniClusterConfig cfg;
     cfg.nodes = sched_.nodes;
-    cfg.broker_memory_bytes = 64u << 20;
+    cfg.broker.memory_bytes = 64u << 20;
     // Tiny geometry: a handful of chunks rolls segments, groups and
     // virtual segments, so every schedule exercises rotation, sealing and
     // evacuation — not just the happy append path.
-    cfg.segment_size = 2048;
-    cfg.segments_per_group = 2;
-    cfg.virtual_segment_capacity = 4096;
-    cfg.replication_max_batch_bytes = 1536;
-    cfg.vlogs_per_broker = 2;
-    cfg.replication_window = 2;
+    cfg.broker.segment_size = 2048;
+    cfg.broker.segments_per_group = 2;
+    cfg.broker.virtual_segment_capacity = 4096;
+    cfg.broker.replication_max_batch_bytes = 1536;
+    cfg.broker.vlogs_per_broker = 2;
+    cfg.broker.replication_window = 2;
     // The mailbox/Execute machinery degenerates to synchronous inline
     // execution when one thread drives everything, so sharded runs stay
     // deterministic too.
-    cfg.broker_shards = std::max<uint32_t>(1, options_.broker_shards);
-    cfg.recovery_parallelism =
+    cfg.broker.shards = std::max<uint32_t>(1, options_.broker_shards);
+    cfg.coordinator.recovery_parallelism =
         std::max<uint32_t>(1, options_.recovery_parallelism);
-    cfg.recovery_read_batch = 4;  // tiny geometry: small batches still batch
+    // Tiny geometry: small batches still batch.
+    cfg.coordinator.recovery_read_batch = 4;
     if (sched_.power_loss) {
       // Power-loss runs give every backup a real on-disk segment log in a
       // per-run scratch dir. Tiny log files and eager flushing so a
@@ -148,11 +149,11 @@ class Harness {
       pl_dir_ = dir;
       std::error_code ec;
       std::filesystem::remove_all(pl_dir_, ec);
-      cfg.backup_dir = pl_dir_ + "/n%u";
-      cfg.backup_log_file_bytes = 32u << 10;
-      cfg.backup_flush_interval_us = 500;
-      cfg.backup_flush_batch_bytes = 16u << 10;
-      cfg.backup_gc_live_ratio = 0.0;
+      cfg.backup.storage_dir = pl_dir_;
+      cfg.backup.log.log_file_bytes = 32u << 10;
+      cfg.backup.log.flush_interval_us = 500;
+      cfg.backup.log.flush_batch_bytes = 16u << 10;
+      cfg.backup.log.gc_live_ratio = 0.0;
     }
     if (options_.memory_budget_bytes > 0) {
       // Tiered broker memory under chaos: a per-run scratch tree holds
@@ -168,10 +169,10 @@ class Harness {
       spill_dir_ = dir;
       std::error_code ec;
       std::filesystem::remove_all(spill_dir_, ec);
-      cfg.broker_memory_budget_bytes = options_.memory_budget_bytes;
-      cfg.broker_spill_dir = spill_dir_ + "/n%u";
-      cfg.broker_cold_cache_bytes = 4 * cfg.segment_size;
-      cfg.broker_readahead_segments = 2;
+      cfg.broker.memory_budget_bytes = options_.memory_budget_bytes;
+      cfg.broker.spill_dir = spill_dir_;
+      cfg.broker.cold_cache_bytes = 4 * cfg.broker.segment_size;
+      cfg.broker.readahead_segments = 2;
     }
     cfg.external_network = &net_;
     cfg.external_register = [this](NodeId n, rpc::RpcHandler* h) {

@@ -1,6 +1,5 @@
 #include "cluster/mini_cluster.h"
 
-#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <system_error>
@@ -10,30 +9,25 @@
 
 namespace kera {
 
+namespace {
+
+/// Node `node`'s subdirectory of a per-cluster root directory.
+std::string NodeDir(const std::string& root, NodeId node) {
+  return root + "/n" + std::to_string(node);
+}
+
+}  // namespace
+
 BrokerConfig MiniCluster::BrokerConfigFor(NodeId node) const {
-  BrokerConfig bc;
+  BrokerConfig bc = config_.broker;
   bc.node = node;
-  if (node <= incarnations_.size()) {
-    bc.incarnation = incarnations_[node - 1];
-  }
-  bc.memory_bytes = config_.broker_memory_bytes;
-  bc.segment_size = config_.segment_size;
-  bc.segments_per_group = config_.segments_per_group;
-  bc.virtual_segment_capacity = config_.virtual_segment_capacity;
-  bc.replication_max_batch_bytes = config_.replication_max_batch_bytes;
-  bc.vlogs_per_broker = config_.vlogs_per_broker;
-  bc.replication_window = config_.replication_window;
-  bc.max_consume_wait_us = config_.max_consume_wait_us;
-  bc.shards = config_.broker_shards;
-  bc.memory_budget_bytes = config_.broker_memory_budget_bytes;
+  bc.incarnation = incarnations_[node - 1];
   bc.spill_dir = SpillDirFor(node);
-  bc.cold_cache_bytes = config_.broker_cold_cache_bytes;
-  bc.readahead_segments = config_.broker_readahead_segments;
   // Prefetch threads only where the transport is already nondeterministic;
   // Direct and external (DES/chaos) networks keep readahead inline so the
   // cold-cache state is a pure function of the schedule.
-  bc.async_readahead =
-      threaded_ != nullptr || socket_ != nullptr;
+  bc.async_readahead = threaded_ != nullptr || socket_ != nullptr;
+  bc.backup_nodes.clear();
   for (NodeId n = 1; n <= config_.nodes; ++n) {
     bc.backup_nodes.push_back(BackupServiceId(n));
   }
@@ -41,46 +35,26 @@ BrokerConfig MiniCluster::BrokerConfigFor(NodeId node) const {
 }
 
 BackupConfig MiniCluster::BackupConfigFor(NodeId node) const {
-  BackupConfig bkc;
+  BackupConfig bkc = config_.backup;
   bkc.node = node;
   bkc.storage_dir = BackupDirFor(node);
-  if (config_.backup_log_file_bytes != 0) {
-    bkc.log.log_file_bytes = config_.backup_log_file_bytes;
-  }
-  if (config_.backup_flush_batch_bytes != 0) {
-    bkc.log.flush_batch_bytes = config_.backup_flush_batch_bytes;
-  }
-  if (config_.backup_flush_interval_us != 0) {
-    bkc.log.flush_interval_us = config_.backup_flush_interval_us;
-  }
-  if (config_.backup_gc_live_ratio >= 0.0) {
-    bkc.log.gc_live_ratio = config_.backup_gc_live_ratio;
-  }
   return bkc;
 }
 
 std::string MiniCluster::BackupDirFor(NodeId node) const {
-  if (config_.backup_dir.empty()) return {};
-  char dir[256];
-  std::snprintf(dir, sizeof(dir), config_.backup_dir.c_str(), unsigned(node));
-  return dir;
+  if (config_.backup.storage_dir.empty()) return {};
+  return NodeDir(config_.backup.storage_dir, node);
 }
 
 std::string MiniCluster::SpillDirFor(NodeId node) const {
-  if (config_.broker_spill_dir.empty() ||
-      config_.broker_memory_budget_bytes == 0) {
+  if (config_.broker.spill_dir.empty() ||
+      config_.broker.memory_budget_bytes == 0) {
     return {};
   }
-  char dir[256];
-  std::snprintf(dir, sizeof(dir), config_.broker_spill_dir.c_str(),
-                unsigned(node));
   // Per-incarnation subdirectory: a restarted broker never scans (or
   // collides with) its previous life's spill records.
-  uint64_t inc = node <= incarnations_.size() ? incarnations_[node - 1] : 0;
-  char sub[320];
-  std::snprintf(sub, sizeof(sub), "%s/inc%llu", dir,
-                (unsigned long long)inc);
-  return sub;
+  return NodeDir(config_.broker.spill_dir, node) + "/inc" +
+         std::to_string(incarnations_[node - 1]);
 }
 
 void MiniCluster::RegisterOnNetwork(NodeId service, rpc::RpcHandler* handler) {
@@ -94,8 +68,8 @@ void MiniCluster::RegisterOnNetwork(NodeId service, rpc::RpcHandler* handler) {
     // shard owning their streamlet (produce/consume) or vlog (replicate).
     // The coordinator is control-plane only and stays single-reactor.
     rpc::SocketNetwork::NodeOptions opts;
-    if (config_.broker_shards > 1 && service != kCoordinatorNode) {
-      opts.shards = int(config_.broker_shards);
+    if (config_.broker.shards > 1 && service != kCoordinatorNode) {
+      opts.shards = int(config_.broker.shards);
       opts.router = rpc::RouteFrameToShard;
     }
     auto port = socket_->Register(service, handler, std::move(opts));
@@ -138,20 +112,6 @@ void MiniCluster::RestoreOnNetwork(NodeId service, rpc::RpcHandler* handler) {
 
 MiniCluster::MiniCluster(MiniClusterConfig config)
     : config_(std::move(config)) {
-  if (config_.broker_shards == 0) {
-    config_.broker_shards = 1;
-    if (const char* env = std::getenv("KERA_BROKER_SHARDS")) {
-      int v = std::atoi(env);
-      if (v > 0) config_.broker_shards = uint32_t(v);
-    }
-  }
-  if (config_.recovery_parallelism == 0) {
-    config_.recovery_parallelism = 4;
-    if (const char* env = std::getenv("KERA_RECOVERY_PARALLELISM")) {
-      int v = std::atoi(env);
-      if (v > 0) config_.recovery_parallelism = uint32_t(v);
-    }
-  }
   // Real recovery threads only where the whole RPC path tolerates
   // concurrent callers: the Threaded and Socket transports. Direct and
   // external networks (the DES / chaos harness decorates a DirectNetwork
@@ -189,9 +149,7 @@ MiniCluster::MiniCluster(MiniClusterConfig config)
       }
     }
   }
-  CoordinatorConfig cc;
-  cc.recovery_parallelism = config_.recovery_parallelism;
-  cc.recovery_read_batch = config_.recovery_read_batch;
+  CoordinatorConfig cc = config_.coordinator;
   cc.recovery_use_threads = recovery_threads;
   coordinator_ = std::make_unique<Coordinator>(*network_, cc);
 
@@ -240,13 +198,9 @@ void MiniCluster::CrashNode(NodeId node) {
   // The dead broker object may still hold open fds — unlinking is safe,
   // and its per-incarnation subdirectory is never reused (RestartNode
   // bumps the incarnation).
-  if (!config_.broker_spill_dir.empty() &&
-      config_.broker_memory_budget_bytes != 0) {
-    char dir[256];
-    std::snprintf(dir, sizeof(dir), config_.broker_spill_dir.c_str(),
-                  unsigned(node));
+  if (!SpillDirFor(node).empty()) {
     std::error_code ec;
-    std::filesystem::remove_all(dir, ec);
+    std::filesystem::remove_all(NodeDir(config_.broker.spill_dir, node), ec);
   }
 }
 

@@ -27,63 +27,36 @@ enum class MiniClusterTransport {
   kSocket,
 };
 
+/// MiniCluster's broker template: BrokerConfig with test-sized memory
+/// (512 MiB) and 1 MiB segments and virtual segments.
+inline BrokerConfig MiniClusterBrokerDefaults() {
+  BrokerConfig bc;
+  bc.memory_bytes = size_t(512) << 20;
+  bc.segment_size = 1u << 20;
+  bc.virtual_segment_capacity = 1u << 20;
+  return bc;
+}
+
 struct MiniClusterConfig {
   uint32_t nodes = 4;
   /// Worker threads per node (RPC dispatch). Must be >= 1 for kThreaded;
   /// kDirect ignores it and kSocket treats 0 as its own default.
   int workers_per_node = 4;
   MiniClusterTransport transport = MiniClusterTransport::kThreaded;
-  size_t broker_memory_bytes = size_t(512) << 20;
-  size_t segment_size = 1u << 20;
-  uint32_t segments_per_group = 4;
-  size_t virtual_segment_capacity = 1u << 20;
-  size_t replication_max_batch_bytes = 1u << 20;
-  uint32_t vlogs_per_broker = 4;
-  /// Replication pipelining (see BrokerConfig): batches in flight per
-  /// vlog.
-  uint32_t replication_window = 1;
-  /// Broker-side cap on consume long-poll waits (see BrokerConfig).
-  uint64_t max_consume_wait_us = 1'000'000;
-  /// Shared-nothing broker shards (see BrokerConfig::shards). 0 = auto:
-  /// read KERA_BROKER_SHARDS from the environment, defaulting to 1. With
-  /// the socket transport, brokers and backups also register shards
-  /// server reactors with rpc::RouteFrameToShard as the frame router, so
-  /// produce/consume/replicate frames land on the shard that owns their
-  /// streamlet/vlog. Direct/Threaded transports ignore routing (any
-  /// thread handles any frame; the broker's per-shard locks keep it
-  /// correct) — with shards == 1 they reproduce the original behavior
-  /// exactly.
-  uint32_t broker_shards = 0;
-  /// Parallel crash recovery (see CoordinatorConfig). recovery_parallelism
-  /// 0 = auto: read KERA_RECOVERY_PARALLELISM from the environment,
-  /// defaulting to 4. On the Threaded/Socket transports the coordinator
-  /// fans recovery lanes out over real threads; on Direct (and external
-  /// networks — the chaos harness) execution stays serial/deterministic
-  /// and the parallel makespan is modeled from measured per-task costs.
-  uint32_t recovery_parallelism = 0;
-  uint32_t recovery_read_batch = 8;
-  /// Backup flush directory template; empty disables disk flushing. A
-  /// "%u" is replaced by the node id.
-  std::string backup_dir;
-  /// Backup segment-log knobs (meaningful only with a backup_dir); 0
-  /// keeps the StorageConfig default. gc_live_ratio < 0 keeps the
-  /// default, 0 disables GC (chaos power-loss mode needs deterministic
-  /// disk state).
-  size_t backup_log_file_bytes = 0;
-  size_t backup_flush_batch_bytes = 0;
-  uint64_t backup_flush_interval_us = 0;
-  double backup_gc_live_ratio = -1.0;
 
-  /// Tiered broker memory (see BrokerConfig::memory_budget_bytes): 0
-  /// keeps every segment resident (the pre-tiering behavior, exactly).
-  /// With a budget, `broker_spill_dir` must be set — a directory template
-  /// with "%u" for the node id; each broker incarnation spills under its
-  /// own subdirectory and CrashNode deletes the node's spill tree (the
-  /// spill log is process-local scratch; recovery uses the backups).
-  size_t broker_memory_budget_bytes = 0;
-  std::string broker_spill_dir;
-  size_t broker_cold_cache_bytes = 0;
-  uint32_t broker_readahead_segments = 2;
+  /// Component templates, copied for every node. MiniCluster overwrites
+  /// only the per-node identity fields: the broker's `node`,
+  /// `incarnation`, `backup_nodes` (every node's backup) and
+  /// `async_readahead` (true on kThreaded/kSocket); the backup's `node`;
+  /// the coordinator's `recovery_use_threads` (true on kThreaded/kSocket).
+  /// `broker.spill_dir` and `backup.storage_dir` are root directories:
+  /// node n's backup log lives in `<storage_dir>/n<n>`, and each broker
+  /// incarnation k spills to `<spill_dir>/n<n>/inc<k>`. With
+  /// `broker.shards` > 1 the socket transport gives brokers and backups
+  /// one server reactor per shard (rpc::RouteFrameToShard).
+  BrokerConfig broker = MiniClusterBrokerDefaults();
+  BackupConfig backup;
+  CoordinatorConfig coordinator;
 
   /// External network injection (fault-injection harnesses wrap a
   /// DirectNetwork in a decorator): when `external_network` is set the
@@ -155,18 +128,6 @@ class MiniCluster {
   /// (empty when tiering is off). CrashNode removes the node's whole
   /// spill tree — a crashed process's spill log is garbage by definition.
   [[nodiscard]] std::string SpillDirFor(NodeId node) const;
-
-  /// Resolved shared-nothing shard count per broker (after the
-  /// KERA_BROKER_SHARDS auto default).
-  [[nodiscard]] uint32_t broker_shards() const {
-    return config_.broker_shards;
-  }
-
-  /// Resolved recovery fan-out (after the KERA_RECOVERY_PARALLELISM auto
-  /// default).
-  [[nodiscard]] uint32_t recovery_parallelism() const {
-    return config_.recovery_parallelism;
-  }
 
  private:
   [[nodiscard]] BrokerConfig BrokerConfigFor(NodeId node) const;

@@ -22,8 +22,8 @@ MiniClusterConfig Config(MiniClusterTransport transport) {
   cfg.nodes = 3;
   cfg.transport = transport;
   cfg.workers_per_node = 2;
-  cfg.segment_size = 64 << 10;
-  cfg.virtual_segment_capacity = 64 << 10;
+  cfg.broker.segment_size = 64 << 10;
+  cfg.broker.virtual_segment_capacity = 64 << 10;
   return cfg;
 }
 

@@ -7,8 +7,6 @@
 //   --chaos_seed=N       run exactly one schedule with this seed (replay)
 //   --chaos_schedules=N  sweep size (default 200)
 //   --chaos_events=N     events per schedule (default 50)
-// Environment overrides (used by scripts/check.sh for bounded sanitizer
-// runs): KERA_CHAOS_SCHEDULES, KERA_CHAOS_EVENTS. Flags win over env.
 //
 // A failing schedule prints its seed, dumps the annotated trace to
 // chaos_failure_<seed>.trace in the working directory, and the run is
@@ -624,9 +622,9 @@ TEST(ChaosRegression, DuplicateRetryIsNotAckedBeforeDurability) {
   MiniClusterConfig cfg;
   cfg.nodes = 3;
   cfg.transport = MiniClusterTransport::kDirect;
-  cfg.segment_size = 4 << 10;
-  cfg.virtual_segment_capacity = 16 << 10;
-  cfg.broker_memory_bytes = 32 << 20;
+  cfg.broker.segment_size = 4 << 10;
+  cfg.broker.virtual_segment_capacity = 16 << 10;
+  cfg.broker.memory_bytes = 32 << 20;
   cfg.external_network = &net;
   cfg.external_register = [&](NodeId n, rpc::RpcHandler* h) {
     net.Register(n, h);
@@ -717,12 +715,12 @@ TEST(ChaosRegression, CrashFailsParkedLongPollsAndRestartRejoins) {
   MiniClusterConfig cfg;
   cfg.nodes = 3;
   cfg.workers_per_node = 2;  // threaded transport: long-polls really park
-  cfg.segment_size = 64 << 10;
-  cfg.virtual_segment_capacity = 64 << 10;
-  cfg.broker_memory_bytes = 64 << 20;
+  cfg.broker.segment_size = 64 << 10;
+  cfg.broker.virtual_segment_capacity = 64 << 10;
+  cfg.broker.memory_bytes = 64 << 20;
   // Far beyond any test timeout: a waiter leaked until its deadline would
   // be unmistakable.
-  cfg.max_consume_wait_us = 30'000'000;
+  cfg.broker.max_consume_wait_us = 30'000'000;
   MiniCluster cluster(cfg);
 
   rpc::StreamOptions opts;
@@ -820,12 +818,6 @@ TEST(ChaosRegression, CrashFailsParkedLongPollsAndRestartRejoins) {
 int main(int argc, char** argv) {
   ::testing::InitGoogleTest(&argc, argv);
   using namespace kera::chaos;
-  if (const char* env = std::getenv("KERA_CHAOS_SCHEDULES")) {
-    g_schedules = uint32_t(std::strtoul(env, nullptr, 10));
-  }
-  if (const char* env = std::getenv("KERA_CHAOS_EVENTS")) {
-    g_events = uint32_t(std::strtoul(env, nullptr, 10));
-  }
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     if (std::strncmp(arg, "--chaos_seed=", 13) == 0) {

@@ -25,8 +25,8 @@ MiniClusterConfig SmallConfig() {
   MiniClusterConfig cfg;
   cfg.nodes = 2;
   cfg.workers_per_node = 2;
-  cfg.segment_size = 64 << 10;
-  cfg.virtual_segment_capacity = 64 << 10;
+  cfg.broker.segment_size = 64 << 10;
+  cfg.broker.virtual_segment_capacity = 64 << 10;
   return cfg;
 }
 
@@ -250,7 +250,7 @@ TEST(ConsumerEdgeTest, PipelinedFetchPreservesPerGroupChunkOrder) {
   // must still be delivered in order (one outstanding request per group),
   // across group rollovers, at depth 1 and at depth 8.
   MiniClusterConfig cfg = SmallConfig();
-  cfg.segment_size = 4 << 10;  // groups roll quickly
+  cfg.broker.segment_size = 4 << 10;  // groups roll quickly
   MiniCluster cluster(cfg);
   rpc::StreamOptions opts;
   opts.num_streamlets = 2;

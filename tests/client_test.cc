@@ -19,9 +19,9 @@ MiniClusterConfig ThreadedConfig() {
   MiniClusterConfig cfg;
   cfg.nodes = 2;
   cfg.workers_per_node = 2;
-  cfg.segment_size = 64 << 10;
-  cfg.virtual_segment_capacity = 64 << 10;
-  cfg.broker_memory_bytes = 64 << 20;
+  cfg.broker.segment_size = 64 << 10;
+  cfg.broker.virtual_segment_capacity = 64 << 10;
+  cfg.broker.memory_bytes = 64 << 20;
   return cfg;
 }
 
@@ -172,8 +172,8 @@ TEST(ClientRoundTripTest, GroupSharingConsumersPartitionTheStream) {
   // granularity (group_id mod 2). Together they must see every record
   // exactly once; individually they only see their own groups.
   MiniClusterConfig cfg = ThreadedConfig();
-  cfg.segment_size = 4 << 10;  // tiny segments => many groups
-  cfg.segments_per_group = 2;
+  cfg.broker.segment_size = 4 << 10;  // tiny segments => many groups
+  cfg.broker.segments_per_group = 2;
   MiniCluster cluster(cfg);
   MakeStream(cluster, "s", 1, 2);
 

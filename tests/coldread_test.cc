@@ -53,7 +53,7 @@ class SpillDir {
     std::filesystem::remove_all(root_);
   }
   ~SpillDir() { std::filesystem::remove_all(root_); }
-  [[nodiscard]] std::string NodeTemplate() const { return root_ + "/n%u"; }
+  [[nodiscard]] const std::string& root() const { return root_; }
 
  private:
   std::string root_;
@@ -70,12 +70,12 @@ struct TieredCluster {
     MiniClusterConfig cfg;
     cfg.nodes = 3;
     cfg.transport = MiniClusterTransport::kDirect;
-    cfg.segment_size = 4 << 10;
-    cfg.segments_per_group = 2;
-    cfg.virtual_segment_capacity = 64 << 10;
-    cfg.broker_memory_budget_bytes = budget;
-    if (budget > 0) cfg.broker_spill_dir = spill.NodeTemplate();
-    cfg.broker_readahead_segments = readahead;
+    cfg.broker.segment_size = 4 << 10;
+    cfg.broker.segments_per_group = 2;
+    cfg.broker.virtual_segment_capacity = 64 << 10;
+    cfg.broker.memory_budget_bytes = budget;
+    if (budget > 0) cfg.broker.spill_dir = spill.root();
+    cfg.broker.readahead_segments = readahead;
     cluster = std::make_unique<MiniCluster>(cfg);
     rpc::StreamOptions opts;
     opts.num_streamlets = 1;
@@ -167,11 +167,11 @@ TEST(ColdReadCatchUp, SocketCatchUpFromZeroMatchesUnboundedOracle) {
     cfg.nodes = 2;
     cfg.workers_per_node = 2;
     cfg.transport = MiniClusterTransport::kSocket;
-    cfg.segment_size = 4 << 10;
-    cfg.segments_per_group = 2;
-    cfg.virtual_segment_capacity = 64 << 10;
-    cfg.broker_memory_budget_bytes = budget;
-    if (budget > 0) cfg.broker_spill_dir = spill.NodeTemplate();
+    cfg.broker.segment_size = 4 << 10;
+    cfg.broker.segments_per_group = 2;
+    cfg.broker.virtual_segment_capacity = 64 << 10;
+    cfg.broker.memory_budget_bytes = budget;
+    if (budget > 0) cfg.broker.spill_dir = spill.root();
     return std::make_unique<MiniCluster>(cfg);
   };
 

@@ -24,9 +24,9 @@ class ConsumeProtocolTest : public ::testing::Test {
     MiniClusterConfig cfg;
     cfg.nodes = 2;
     cfg.transport = MiniClusterTransport::kDirect;
-    cfg.segment_size = 4 << 10;  // tiny: groups roll quickly
-    cfg.segments_per_group = 1;
-    cfg.virtual_segment_capacity = 16 << 10;
+    cfg.broker.segment_size = 4 << 10;  // tiny: groups roll quickly
+    cfg.broker.segments_per_group = 1;
+    cfg.broker.virtual_segment_capacity = 16 << 10;
     cluster_ = std::make_unique<MiniCluster>(cfg);
     rpc::StreamOptions opts;
     opts.num_streamlets = 1;
@@ -344,7 +344,7 @@ TEST(ConsumeLongPollCapTest, ServerCapsClientWait) {
   MiniClusterConfig cfg;
   cfg.nodes = 1;
   cfg.transport = MiniClusterTransport::kDirect;
-  cfg.max_consume_wait_us = 50'000;
+  cfg.broker.max_consume_wait_us = 50'000;
   MiniCluster cluster(cfg);
   rpc::StreamOptions opts;
   opts.num_streamlets = 1;

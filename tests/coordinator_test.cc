@@ -29,9 +29,9 @@ MiniClusterConfig SmallClusterConfig() {
   MiniClusterConfig cfg;
   cfg.nodes = 4;
   cfg.transport = MiniClusterTransport::kDirect;  // deterministic
-  cfg.segment_size = 64 << 10;
-  cfg.virtual_segment_capacity = 64 << 10;
-  cfg.broker_memory_bytes = 64 << 20;
+  cfg.broker.segment_size = 64 << 10;
+  cfg.broker.virtual_segment_capacity = 64 << 10;
+  cfg.broker.memory_bytes = 64 << 20;
   return cfg;
 }
 
@@ -295,8 +295,8 @@ TEST(RecoveryScatterTest, LostStreamletsSpreadAcrossAllSurvivors) {
   MiniClusterConfig cfg;
   cfg.nodes = 6;
   cfg.transport = MiniClusterTransport::kDirect;
-  cfg.segment_size = 64 << 10;
-  cfg.virtual_segment_capacity = 64 << 10;
+  cfg.broker.segment_size = 64 << 10;
+  cfg.broker.virtual_segment_capacity = 64 << 10;
   MiniCluster cluster(cfg);
 
   // 36 streamlets -> round-robin gives every broker exactly 6.
@@ -347,13 +347,14 @@ TEST(RecoveryScatterTest, RecoveryStatsExposed) {
   MiniClusterConfig cfg;
   cfg.nodes = 4;
   cfg.transport = MiniClusterTransport::kDirect;
-  cfg.segment_size = 32 << 10;
-  cfg.virtual_segment_capacity = 8 << 10;  // several vsegs per vlog
-  cfg.vlogs_per_broker = 4;
-  cfg.recovery_parallelism = 4;
-  cfg.recovery_read_batch = 4;
+  cfg.broker.segment_size = 32 << 10;
+  cfg.broker.virtual_segment_capacity = 8 << 10;  // several vsegs per vlog
+  cfg.broker.vlogs_per_broker = 4;
+  cfg.coordinator.recovery_parallelism = 4;
+  cfg.coordinator.recovery_read_batch = 4;
   MiniCluster cluster(cfg);
-  EXPECT_EQ(cluster.recovery_parallelism(), 4u);
+  EXPECT_EQ(cluster.coordinator().config().recovery_parallelism, 4u);
+  EXPECT_EQ(cluster.coordinator().config().recovery_read_batch, 4u);
 
   rpc::StreamOptions opts;
   opts.num_streamlets = 8;

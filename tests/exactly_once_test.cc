@@ -41,9 +41,9 @@ MiniClusterConfig SmallClusterConfig() {
   MiniClusterConfig cfg;
   cfg.nodes = 4;
   cfg.transport = MiniClusterTransport::kDirect;  // deterministic
-  cfg.segment_size = 64 << 10;
-  cfg.virtual_segment_capacity = 64 << 10;
-  cfg.broker_memory_bytes = 64 << 20;
+  cfg.broker.segment_size = 64 << 10;
+  cfg.broker.virtual_segment_capacity = 64 << 10;
+  cfg.broker.memory_bytes = 64 << 20;
   return cfg;
 }
 
@@ -273,7 +273,7 @@ TEST(EpochFencingTest, ZombieProducerFencedAtPostRecoveryLeader) {
 // new leaders never double-appends.
 TEST(DedupRecoveryTest, WindowSurvivesRecoverNodeAtParallelism8) {
   MiniClusterConfig cfg = SmallClusterConfig();
-  cfg.recovery_parallelism = 8;
+  cfg.coordinator.recovery_parallelism = 8;
   MiniCluster cluster(cfg);
   rpc::StreamOptions opts;
   opts.num_streamlets = 4;

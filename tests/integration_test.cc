@@ -27,10 +27,10 @@ MiniClusterConfig FourNodeConfig() {
   MiniClusterConfig cfg;
   cfg.nodes = 4;
   cfg.workers_per_node = 2;
-  cfg.segment_size = 64 << 10;
-  cfg.segments_per_group = 2;
-  cfg.virtual_segment_capacity = 64 << 10;
-  cfg.broker_memory_bytes = 128 << 20;
+  cfg.broker.segment_size = 64 << 10;
+  cfg.broker.segments_per_group = 2;
+  cfg.broker.virtual_segment_capacity = 64 << 10;
+  cfg.broker.memory_bytes = 128 << 20;
   return cfg;
 }
 
@@ -204,8 +204,8 @@ TEST(IntegrationTest, ThreadedCrashRecoveryPreservesData) {
 TEST(IntegrationTest, TrimmingBoundsMemoryUnderSustainedLoad) {
   MiniClusterConfig cfg = FourNodeConfig();
   cfg.nodes = 2;
-  cfg.segment_size = 16 << 10;
-  cfg.segments_per_group = 2;
+  cfg.broker.segment_size = 16 << 10;
+  cfg.broker.segments_per_group = 2;
   MiniCluster cluster(cfg);
   rpc::StreamOptions opts;
   opts.num_streamlets = 2;
@@ -234,7 +234,7 @@ TEST(IntegrationTest, TrimmingBoundsMemoryUnderSustainedLoad) {
   // Memory in use stays well below what was written: data was recycled.
   size_t in_use = 0;
   for (NodeId n = 1; n <= cfg.nodes; ++n) {
-    in_use += cluster.broker(n).memory().in_use() * cfg.segment_size;
+    in_use += cluster.broker(n).memory().in_use() * cfg.broker.segment_size;
   }
   size_t written = 20u * 500u * (256 + kRecordFixedHeader);
   EXPECT_LT(in_use, written);
@@ -244,19 +244,16 @@ TEST(IntegrationTest, DiskBackedBackupsServeRecovery) {
   // Backups flush sealed virtual segments to disk and can evict the
   // in-memory copies; recovery then reloads from the files. This drives
   // the full disk path end-to-end through a broker crash.
-  std::string dir = ::testing::TempDir() + "/kera_disk_recovery_n%u";
+  std::string dir = ::testing::TempDir() + "/kera_disk_recovery";
   // Fresh directories: a backup cold-starts by scanning its segment log,
   // so copies left by a previous run would otherwise be resurrected and
   // collide with this run's virtual segment ids.
-  for (int n = 1; n <= 4; ++n) {
-    std::filesystem::remove_all(::testing::TempDir() +
-                                "/kera_disk_recovery_n" + std::to_string(n));
-  }
+  std::filesystem::remove_all(dir);
   MiniClusterConfig cfg = FourNodeConfig();
   cfg.transport = MiniClusterTransport::kDirect;
-  cfg.backup_dir = dir;
-  cfg.segment_size = 8 << 10;            // small segments: many seals
-  cfg.virtual_segment_capacity = 8 << 10;
+  cfg.backup.storage_dir = dir;
+  cfg.broker.segment_size = 8 << 10;  // small segments: many seals
+  cfg.broker.virtual_segment_capacity = 8 << 10;
   MiniCluster cluster(cfg);
 
   rpc::StreamOptions opts;
@@ -307,6 +304,58 @@ TEST(IntegrationTest, DiskBackedBackupsServeRecovery) {
     ASSERT_NE(stream, nullptr);
     EXPECT_EQ(stream->GetStreamlet(sl)->total_chunks(), uint64_t(kChunks / 2));
   }
+}
+
+TEST(IntegrationTest, ComponentTemplatesReachEveryNode) {
+  // MiniCluster copies its component templates to every node and
+  // overwrites only the per-node identity fields. The directory roots are
+  // plain paths, not format strings: a '%' stays literal and a root longer
+  // than 255 bytes is kept whole.
+  const std::string base = ::testing::TempDir() + "/kera_templates_%s%n%u";
+  std::filesystem::remove_all(base);
+  std::string root = base;
+  for (char c : {'a', 'b', 'c'}) root += "/" + std::string(100, c);
+  ASSERT_GT(root.size(), 255u);
+
+  MiniClusterConfig cfg;
+  cfg.nodes = 3;
+  cfg.transport = MiniClusterTransport::kDirect;
+  cfg.broker.vlogs_per_broker = 3;
+  cfg.broker.replication_retries = 7;
+  cfg.broker.node = 99;
+  cfg.broker.backup_nodes = {42};
+  cfg.broker.async_readahead = true;
+  cfg.broker.memory_budget_bytes = 4 * cfg.broker.segment_size;
+  cfg.broker.spill_dir = root + "/spill";
+  cfg.backup.node = 99;
+  cfg.backup.storage_dir = root + "/backup";
+  cfg.coordinator.recovery_parallelism = 3;
+  cfg.coordinator.recovery_use_threads = true;
+  {
+    MiniCluster cluster(cfg);
+    const std::vector<NodeId> all_backups = {
+        BackupServiceId(1), BackupServiceId(2), BackupServiceId(3)};
+    for (NodeId n = 1; n <= 3; ++n) {
+      SCOPED_TRACE("node " + std::to_string(n));
+      const BrokerConfig& bc = cluster.broker(n).config();
+      EXPECT_EQ(bc.vlogs_per_broker, 3u);
+      EXPECT_EQ(bc.replication_retries, 7);
+      EXPECT_EQ(bc.node, n);
+      EXPECT_EQ(bc.incarnation, 0u);
+      EXPECT_EQ(bc.backup_nodes, all_backups);
+      EXPECT_FALSE(bc.async_readahead);  // kDirect keeps readahead inline
+
+      const std::string node_dir = "/n" + std::to_string(n);
+      EXPECT_EQ(cluster.BackupDirFor(n), root + "/backup" + node_dir);
+      EXPECT_EQ(cluster.SpillDirFor(n), root + "/spill" + node_dir + "/inc0");
+      EXPECT_EQ(bc.spill_dir, cluster.SpillDirFor(n));
+      EXPECT_TRUE(std::filesystem::exists(cluster.BackupDirFor(n)));
+      EXPECT_TRUE(std::filesystem::exists(cluster.SpillDirFor(n)));
+    }
+    EXPECT_EQ(cluster.coordinator().config().recovery_parallelism, 3u);
+    EXPECT_FALSE(cluster.coordinator().config().recovery_use_threads);
+  }
+  std::filesystem::remove_all(base);
 }
 
 TEST(IntegrationTest, ConsumersNeverReadUnreplicatedData) {

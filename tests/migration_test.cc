@@ -23,8 +23,8 @@ class MigrationTest : public ::testing::Test {
     MiniClusterConfig cfg;
     cfg.nodes = 4;
     cfg.transport = MiniClusterTransport::kDirect;
-    cfg.segment_size = 32 << 10;
-    cfg.virtual_segment_capacity = 32 << 10;
+    cfg.broker.segment_size = 32 << 10;
+    cfg.broker.virtual_segment_capacity = 32 << 10;
     cluster_ = std::make_unique<MiniCluster>(cfg);
   }
 

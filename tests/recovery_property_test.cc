@@ -35,10 +35,10 @@ TEST_P(RecoveryProperty, AcknowledgedDataSurvivesCrash) {
   MiniClusterConfig cfg;
   cfg.nodes = 4;
   cfg.transport = MiniClusterTransport::kDirect;  // deterministic
-  cfg.segment_size = 32 << 10;
-  cfg.segments_per_group = 2;
-  cfg.virtual_segment_capacity = 32 << 10;
-  cfg.vlogs_per_broker = sweep.vlogs_per_broker;
+  cfg.broker.segment_size = 32 << 10;
+  cfg.broker.segments_per_group = 2;
+  cfg.broker.virtual_segment_capacity = 32 << 10;
+  cfg.broker.vlogs_per_broker = sweep.vlogs_per_broker;
   MiniCluster cluster(cfg);
 
   // Create the streams and remember what we acknowledge.
@@ -173,11 +173,12 @@ TEST(RecoveryScatterOracleTest, ScatteredEqualsSerial) {
     MiniClusterConfig cfg;
     cfg.nodes = 5;
     cfg.transport = MiniClusterTransport::kDirect;  // deterministic
-    cfg.segment_size = 32 << 10;
-    cfg.virtual_segment_capacity = 4 << 10;  // many segments -> many tasks
-    cfg.vlogs_per_broker = 4;
-    cfg.recovery_parallelism = parallelism;
-    cfg.recovery_read_batch = 3;  // exercise multi-wave batching
+    cfg.broker.segment_size = 32 << 10;
+    // Many segments -> many tasks.
+    cfg.broker.virtual_segment_capacity = 4 << 10;
+    cfg.broker.vlogs_per_broker = 4;
+    cfg.coordinator.recovery_parallelism = parallelism;
+    cfg.coordinator.recovery_read_batch = 3;  // exercise multi-wave batching
     MiniCluster cluster(cfg);
 
     std::vector<rpc::StreamInfo> infos;
@@ -283,9 +284,9 @@ TEST(RecoveryScatterOracleTest, ReadmitAfterScatterStartsEmpty) {
   MiniClusterConfig cfg;
   cfg.nodes = 4;
   cfg.transport = MiniClusterTransport::kDirect;
-  cfg.segment_size = 32 << 10;
-  cfg.virtual_segment_capacity = 8 << 10;
-  cfg.recovery_parallelism = 4;
+  cfg.broker.segment_size = 32 << 10;
+  cfg.broker.virtual_segment_capacity = 8 << 10;
+  cfg.coordinator.recovery_parallelism = 4;
   MiniCluster cluster(cfg);
 
   rpc::StreamOptions opts;
@@ -377,8 +378,8 @@ TEST(RecoveryDoubleFailureTest, SequentialCrashesRecoverable) {
   MiniClusterConfig cfg;
   cfg.nodes = 5;
   cfg.transport = MiniClusterTransport::kDirect;
-  cfg.segment_size = 32 << 10;
-  cfg.virtual_segment_capacity = 32 << 10;
+  cfg.broker.segment_size = 32 << 10;
+  cfg.broker.virtual_segment_capacity = 32 << 10;
   MiniCluster cluster(cfg);
 
   rpc::StreamOptions opts;
@@ -431,8 +432,8 @@ TEST(RecoveryDoubleFailureTest, RefusesWhenClusterTooSmallForR) {
   MiniClusterConfig cfg;
   cfg.nodes = 4;
   cfg.transport = MiniClusterTransport::kDirect;
-  cfg.segment_size = 32 << 10;
-  cfg.virtual_segment_capacity = 32 << 10;
+  cfg.broker.segment_size = 32 << 10;
+  cfg.broker.virtual_segment_capacity = 32 << 10;
   MiniCluster cluster(cfg);
 
   rpc::StreamOptions opts;

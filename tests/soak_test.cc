@@ -25,10 +25,10 @@ TEST(SoakTest, MixedWorkloadConservesRecords) {
   MiniClusterConfig cfg;
   cfg.nodes = 4;
   cfg.workers_per_node = 2;
-  cfg.segment_size = 32 << 10;
-  cfg.segments_per_group = 2;
-  cfg.virtual_segment_capacity = 32 << 10;
-  cfg.broker_memory_bytes = 256 << 20;
+  cfg.broker.segment_size = 32 << 10;
+  cfg.broker.segments_per_group = 2;
+  cfg.broker.virtual_segment_capacity = 32 << 10;
+  cfg.broker.memory_bytes = 256 << 20;
   MiniCluster cluster(cfg);
 
   constexpr int kStreams = 3;
@@ -153,8 +153,8 @@ TEST(SoakTest, SealAndMigrateUnderload) {
   MiniClusterConfig cfg;
   cfg.nodes = 4;
   cfg.workers_per_node = 2;
-  cfg.segment_size = 32 << 10;
-  cfg.virtual_segment_capacity = 32 << 10;
+  cfg.broker.segment_size = 32 << 10;
+  cfg.broker.virtual_segment_capacity = 32 << 10;
   MiniCluster cluster(cfg);
   rpc::StreamOptions opts;
   opts.num_streamlets = 2;

@@ -557,52 +557,61 @@ TEST(SocketShardTest, CrashJoinsAllShardLoopsAndRestoreKeepsTopology) {
 
 // ----- end-to-end over TCP -----
 
+// Runs once per broker shard count: with 2 shards the socket transport
+// gives every broker and backup one reactor per shard and routes frames to
+// the owning shard.
 TEST(SocketClusterTest, ProduceConsumeRoundTrip) {
-  MiniClusterConfig cfg;
-  cfg.nodes = 2;
-  cfg.workers_per_node = 2;
-  cfg.transport = MiniClusterTransport::kSocket;
-  cfg.segment_size = 64 << 10;
-  cfg.virtual_segment_capacity = 64 << 10;
-  cfg.broker_memory_bytes = 64 << 20;
-  MiniCluster cluster(cfg);
+  for (uint32_t shards : {1u, 2u}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    MiniClusterConfig cfg;
+    cfg.nodes = 2;
+    cfg.workers_per_node = 2;
+    cfg.transport = MiniClusterTransport::kSocket;
+    cfg.broker.segment_size = 64 << 10;
+    cfg.broker.virtual_segment_capacity = 64 << 10;
+    cfg.broker.memory_bytes = 64 << 20;
+    cfg.broker.shards = shards;
+    MiniCluster cluster(cfg);
 
-  rpc::StreamOptions opts;
-  opts.num_streamlets = 2;
-  opts.replication_factor = 2;
-  auto info = cluster.coordinator().CreateStream("s", opts);
-  ASSERT_TRUE(info.ok());
+    rpc::StreamOptions opts;
+    opts.num_streamlets = 2;
+    opts.replication_factor = 2;
+    auto info = cluster.coordinator().CreateStream("s", opts);
+    ASSERT_TRUE(info.ok());
 
-  ProducerConfig pc;
-  pc.producer_id = 1;
-  pc.stream = "s";
-  pc.chunk_size = 1024;
-  Producer producer(pc, cluster.network());
-  ASSERT_TRUE(producer.Connect().ok());
-  constexpr int kRecords = 1000;
-  for (int i = 0; i < kRecords; ++i) {
-    std::string v = "v" + std::to_string(i);
-    ASSERT_TRUE(producer.Send(AsBytes(v)).ok());
-  }
-  ASSERT_TRUE(producer.Close().ok());
-
-  ConsumerConfig cc;
-  cc.stream = "s";
-  Consumer consumer(cc, cluster.network());
-  ASSERT_TRUE(consumer.Connect().ok());
-  std::multiset<std::string> received;
-  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
-  while (received.size() < kRecords &&
-         std::chrono::steady_clock::now() < deadline) {
-    for (auto& rec : consumer.PollBlocking(256)) {
-      received.emplace(reinterpret_cast<const char*>(rec.value.data()),
-                       rec.value.size());
+    ProducerConfig pc;
+    pc.producer_id = 1;
+    pc.stream = "s";
+    pc.chunk_size = 1024;
+    Producer producer(pc, cluster.network());
+    ASSERT_TRUE(producer.Connect().ok());
+    constexpr int kRecords = 1000;
+    for (int i = 0; i < kRecords; ++i) {
+      std::string v = "v" + std::to_string(i);
+      ASSERT_TRUE(producer.Send(AsBytes(v)).ok());
     }
-  }
-  consumer.Close();
-  ASSERT_EQ(received.size(), size_t(kRecords));
-  for (int i = 0; i < kRecords; ++i) {
-    EXPECT_EQ(received.count("v" + std::to_string(i)), 1u) << i;
+    ASSERT_TRUE(producer.Close().ok());
+
+    ConsumerConfig cc;
+    cc.stream = "s";
+    Consumer consumer(cc, cluster.network());
+    ASSERT_TRUE(consumer.Connect().ok());
+    std::multiset<std::string> received;
+    auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(20);
+    while (received.size() < kRecords &&
+           std::chrono::steady_clock::now() < deadline) {
+      for (auto& rec : consumer.PollBlocking(256)) {
+        received.emplace(reinterpret_cast<const char*>(rec.value.data()),
+                         rec.value.size());
+      }
+    }
+    consumer.Close();
+    ASSERT_EQ(received.size(), size_t(kRecords));
+    for (int i = 0; i < kRecords; ++i) {
+      EXPECT_EQ(received.count("v" + std::to_string(i)), 1u) << i;
+    }
+    EXPECT_EQ(cluster.TotalBrokerStats().shard_frames.size(), size_t(shards));
   }
 }
 

@@ -25,10 +25,6 @@
 // durably commits consumer cursors, restarts resume from broker offsets,
 // and the redelivery invariant tightens to zero. The soak JSON then
 // carries the dedup-hit / fence / offset-commit counters.
-//
-// Environment overrides (flags win): KERA_CHAOS_SCHEDULES,
-// KERA_CHAOS_EVENTS, KERA_BROKER_SHARDS — the same knobs
-// scripts/check.sh uses to bound the sanitizer stages.
 #include <algorithm>
 #include <chrono>
 #include <cinttypes>
@@ -66,16 +62,6 @@ int main(int argc, char** argv) {
   bool exactly_once = false;
   std::string out_path = "BENCH_chaos.json";
 
-  if (const char* env = std::getenv("KERA_CHAOS_SCHEDULES")) {
-    schedules = ParseU64(env, "KERA_CHAOS_SCHEDULES");
-  }
-  if (const char* env = std::getenv("KERA_CHAOS_EVENTS")) {
-    events = uint32_t(ParseU64(env, "KERA_CHAOS_EVENTS"));
-  }
-  if (const char* env = std::getenv("KERA_BROKER_SHARDS")) {
-    uint64_t v = ParseU64(env, "KERA_BROKER_SHARDS");
-    if (v > 0) shards = uint32_t(v);
-  }
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     if (std::strncmp(arg, "--schedules=", 12) == 0) {
