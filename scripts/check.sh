@@ -143,13 +143,18 @@ echo "== chaos soak (JSON to BENCH_chaos.json) =="
 cmake --build "$build" -j --target chaos_soak
 "$build/tools/chaos_soak" --schedules=400 --events=60 \
   --out="$repo/BENCH_chaos.json"
+python3 -c 'import json,sys; json.load(open(sys.argv[1]))' \
+  "$repo/BENCH_chaos.json"
 
 echo "== exactly-once chaos soak (JSON to BENCH_chaos_eo.json) =="
-# Same seed band with end-to-end exactly-once on: the JSON adds the
-# dedup-hit / fence / offset-commit counters and the redelivery total
-# (which the tightened invariant holds at zero).
+# Same seed band with end-to-end exactly-once on: the dedup-hit, fence
+# (broker_chunks_fenced) and offset-commit (broker_offset_commits)
+# counters go non-zero and the redelivery total stays at zero (the
+# tightened invariant).
 "$build/tools/chaos_soak" --schedules=400 --events=60 --exactly_once \
   --out="$repo/BENCH_chaos_eo.json"
+python3 -c 'import json,sys; json.load(open(sys.argv[1]))' \
+  "$repo/BENCH_chaos_eo.json"
 
 echo "== micro-benchmark (JSON to BENCH_micro_core.json) =="
 cmake --build "$build" -j --target bench_micro_core

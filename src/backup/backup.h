@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "storage/segment_log.h"
+#include "common/stats.h"
 #include "common/status.h"
 #include "common/types.h"
 #include "rpc/messages.h"
@@ -87,7 +88,27 @@ class Backup final : public rpc::RpcHandler {
     uint64_t gc_bytes_reclaimed = 0;
     uint64_t restart_scan_ms = 0;
     uint64_t io_errors = 0;  // sticky segment-log IO failure (0 or 1)
+
+    static constexpr StatField<Stats> kFields[] = {
+        {"replicate_rpcs", &Stats::replicate_rpcs},
+        {"bytes_received", &Stats::bytes_received},
+        {"chunks_received", &Stats::chunks_received},
+        {"checksum_failures", &Stats::checksum_failures},
+        {"segments_sealed", &Stats::segments_sealed},
+        {"segments_flushed", &Stats::segments_flushed},
+        {"flush_groups", &Stats::flush_groups},
+        {"fsyncs", &Stats::fsyncs},
+        {"bytes_flushed", &Stats::bytes_flushed},
+        {"gc_bytes_reclaimed", &Stats::gc_bytes_reclaimed},
+        {"restart_scan_ms", &Stats::restart_scan_ms},
+        {"io_errors", &Stats::io_errors},
+    };
+    Stats& operator+=(const Stats& o) {
+      AddCounters(*this, o);
+      return *this;
+    }
   };
+  static_assert(CountersCovered<Stats>(sizeof(Stats)));
   [[nodiscard]] Stats GetStats() const;
 
   /// Blocks until everything enqueued to the segment log so far is

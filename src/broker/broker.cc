@@ -69,7 +69,7 @@ void Broker::ExecuteOnShard(uint32_t shard, std::function<void()> op) {
     op();
     return;
   }
-  stats_.cross_shard_ops.fetch_add(1, std::memory_order_relaxed);
+  Bump(stats_.cross_shard_ops);
   shard_rt_[shard]->mailbox.Execute(std::move(op));
 }
 
@@ -388,7 +388,7 @@ Status Broker::AppendOneChunk(
   auto chunk = ChunkView::Parse(frame);
   if (!chunk.ok()) return chunk.status();
   if (config_.verify_chunk_checksums && !chunk->VerifyChecksum()) {
-    stats_.checksum_failures.fetch_add(1, std::memory_order_relaxed);
+    Bump(stats_.checksum_failures);
     return Status(StatusCode::kCorruption, "chunk checksum mismatch");
   }
   if (chunk->stream_id() != req.stream) {
@@ -400,7 +400,7 @@ Status Broker::AppendOneChunk(
     // A producer batched chunks of differently-homed streamlets into one
     // request: still correct (the shard lock protects from any thread),
     // just off the fast path.
-    stats_.cross_shard_ops.fetch_add(1, std::memory_order_relaxed);
+    Bump(stats_.cross_shard_ops);
   }
   auto key = std::make_pair(streamlet_id, chunk->producer_id());
   const uint32_t epoch = chunk->producer_epoch();
@@ -428,14 +428,14 @@ Status Broker::AppendOneChunk(
       // under a newer epoch (the epoch rides in every accepted chunk's
       // header, so replication and recovery carry it to any new leader).
       // An instance still stamping the old epoch must not append.
-      stats_.chunks_fenced.fetch_add(1, std::memory_order_relaxed);
+      Bump(stats_.chunks_fenced);
       return Status(StatusCode::kFenced, "producer epoch fenced");
     }
     if (!inserted && epoch == it->second.epoch &&
         chunk->chunk_seq() <= it->second.seq) {
       ++resp.duplicates;
       ++ss.dedup_hits[key];
-      stats_.chunks_duplicate.fetch_add(1, std::memory_order_relaxed);
+      Bump(stats_.chunks_duplicate);
       // A retry of the LATEST sequence must not be acked before the
       // original copy is durable (the producer is retrying because it
       // never saw an ack). Older sequences were below the latest when it
@@ -504,17 +504,16 @@ Status Broker::AppendOneChunk(
       // cursor table. Appends include recovery replays, so the table
       // rebuilds from the log on the new leader with no extra machinery.
       ApplyOffsetChunk(ss, streamlet_id, *chunk);
-      stats_.offset_commits.fetch_add(1, std::memory_order_relaxed);
+      Bump(stats_.offset_commits);
     }
   }
 
   ++resp.appended;
-  stats_.chunks_appended.fetch_add(1, std::memory_order_relaxed);
-  stats_.bytes_appended.fetch_add(frame.size(), std::memory_order_relaxed);
+  Bump(stats_.chunks_appended);
+  Bump(stats_.bytes_appended, frame.size());
   if (req.recovery) {
-    stats_.recovery_chunks_appended.fetch_add(1, std::memory_order_relaxed);
-    stats_.recovery_bytes_appended.fetch_add(frame.size(),
-                                             std::memory_order_relaxed);
+    Bump(stats_.recovery_chunks_appended);
+    Bump(stats_.recovery_bytes_appended, frame.size());
   }
   return OkStatus();
 }
@@ -523,9 +522,9 @@ rpc::ProduceResponse Broker::HandleProduceNoSync(
     const rpc::ProduceRequest& req,
     std::vector<std::pair<VirtualLog*, ChunkRef>>* appended) {
   rpc::ProduceResponse resp;
-  stats_.produce_rpcs.fetch_add(1, std::memory_order_relaxed);
+  Bump(stats_.produce_rpcs);
   if (req.recovery) {
-    stats_.recovery_produce_rpcs.fetch_add(1, std::memory_order_relaxed);
+    Bump(stats_.recovery_produce_rpcs);
   }
   StreamEntry* entry = FindStream(req.stream);
   if (entry == nullptr) {
@@ -568,9 +567,9 @@ rpc::ProduceResponse Broker::HandleProduceNoSync(
 
 rpc::ProduceResponse Broker::HandleProduce(const rpc::ProduceRequest& req) {
   rpc::ProduceResponse resp;
-  stats_.produce_rpcs.fetch_add(1, std::memory_order_relaxed);
+  Bump(stats_.produce_rpcs);
   if (req.recovery) {
-    stats_.recovery_produce_rpcs.fetch_add(1, std::memory_order_relaxed);
+    Bump(stats_.recovery_produce_rpcs);
   }
   StreamEntry* entry = FindStream(req.stream);
   if (entry == nullptr) {
@@ -707,8 +706,11 @@ bool Broker::DrainReplication(int max_failed_batches) {
   return all_drained;
 }
 
-void Broker::EncodeReplicateBody(const ReplicationBatch& batch,
-                                 rpc::Writer& body) const {
+Status Broker::ShipBatch(VirtualLog& vlog, const ReplicationBatch& batch) {
+  // The frame stays in parts form: the encoder's inline runs plus spans
+  // into segment memory (pinned until Complete/Abort). All futures are
+  // consumed before `body` leaves scope, satisfying CallAsyncParts'
+  // lifetime contract across every retry round.
   rpc::ReplicateRequest req;
   req.primary = config_.node;
   req.vlog = batch.vlog;
@@ -717,7 +719,6 @@ void Broker::EncodeReplicateBody(const ReplicationBatch& batch,
   req.chunk_count = uint32_t(batch.refs.size());
   req.checksum_after = batch.checksum_after;
   req.seals = batch.seals_segment;
-
   // Reference the chunk bytes straight from the physical segments; the
   // encoder records them without copying, and the transport either sends
   // them vectored (SocketNetwork) or splices them into the frame with one
@@ -727,23 +728,8 @@ void Broker::EncodeReplicateBody(const ReplicationBatch& batch,
     req.payload_parts.push_back(
         ref.loc.segment->Bytes(ref.loc.offset, ref.loc.length));
   }
+  rpc::Writer body(64);
   req.Encode(body);
-}
-
-std::vector<std::byte> Broker::BuildReplicateFrame(
-    const ReplicationBatch& batch) const {
-  rpc::Writer body(64);
-  EncodeReplicateBody(batch, body);
-  return rpc::Frame(rpc::Opcode::kReplicate, body);
-}
-
-Status Broker::ShipBatch(VirtualLog& vlog, const ReplicationBatch& batch) {
-  // The frame stays in parts form: the encoder's inline runs plus spans
-  // into segment memory (pinned until Complete/Abort). All futures are
-  // consumed before `body` leaves scope, satisfying CallAsyncParts'
-  // lifetime contract across every retry round.
-  rpc::Writer body(64);
-  EncodeReplicateBody(batch, body);
   std::array<std::byte, 2> opcode;
   const rpc::BytesRefParts parts =
       rpc::FrameAsParts(rpc::Opcode::kReplicate, body, opcode);
@@ -778,11 +764,9 @@ Status Broker::ShipBatch(VirtualLog& vlog, const ReplicationBatch& batch) {
                             : resp.status();
       }
     }
-    stats_.replication_batches.fetch_add(1, std::memory_order_relaxed);
-    stats_.replication_rpcs.fetch_add(batch.backups.size(),
-                                      std::memory_order_relaxed);
-    stats_.replication_bytes.fetch_add(batch.bytes * batch.backups.size(),
-                                       std::memory_order_relaxed);
+    Bump(stats_.replication_batches);
+    Bump(stats_.replication_rpcs, batch.backups.size());
+    Bump(stats_.replication_bytes, batch.bytes * batch.backups.size());
     if (all_ok) {
       vlog.Complete(batch);
       // The durable prefix of every group in the batch just advanced:
@@ -917,14 +901,14 @@ rpc::ConsumeResponse Broker::GatherConsume(StreamEntry& entry,
         group->closed() && out.next_chunk >= group->chunk_count();
     if (out.group_closed && served == 0) *rotated = true;
     if (!out.stream_sealed || !out.group_closed) *all_terminal = false;
-    stats_.chunks_served.fetch_add(served, std::memory_order_relaxed);
+    Bump(stats_.chunks_served, served);
     resp.entries.push_back(std::move(out));
   }
   return resp;
 }
 
 rpc::ConsumeResponse Broker::HandleConsume(const rpc::ConsumeRequest& req) {
-  stats_.consume_rpcs.fetch_add(1, std::memory_order_relaxed);
+  Bump(stats_.consume_rpcs);
   StreamEntry* entry = FindStream(req.stream);
   if (entry == nullptr) {
     rpc::ConsumeResponse resp;
@@ -962,7 +946,7 @@ rpc::ConsumeResponse Broker::HandleConsume(const rpc::ConsumeRequest& req) {
     }
   } cross_guard;
   if (spans) {
-    stats_.cross_shard_ops.fetch_add(1, std::memory_order_relaxed);
+    Bump(stats_.cross_shard_ops);
     if (wait_us > 0) {
       entry->cross_parked.fetch_add(1);
       cross_guard.counter = &entry->cross_parked;
@@ -993,7 +977,7 @@ rpc::ConsumeResponse Broker::HandleConsume(const rpc::ConsumeRequest& req) {
     }
     if (!parked) {
       parked = true;
-      stats_.consume_long_polls.fetch_add(1, std::memory_order_relaxed);
+      Bump(stats_.consume_long_polls);
     }
     std::unique_lock<std::mutex> lock(home_ss.mu);
     while (home_ss.consume_epoch == epoch &&
@@ -1187,35 +1171,19 @@ std::map<std::pair<StreamletId, ProducerId>, uint64_t> Broker::DedupHitsByKey(
   return out;
 }
 
+Broker::Stats& Broker::Stats::operator+=(const Stats& o) {
+  AddCounters(*this, o);
+  if (shard_frames.size() < o.shard_frames.size()) {
+    shard_frames.resize(o.shard_frames.size());
+  }
+  for (size_t i = 0; i < o.shard_frames.size(); ++i) {
+    shard_frames[i] += o.shard_frames[i];
+  }
+  return *this;
+}
+
 Broker::Stats Broker::GetStats() const {
-  Stats out;
-  out.produce_rpcs = stats_.produce_rpcs.load(std::memory_order_relaxed);
-  out.chunks_appended =
-      stats_.chunks_appended.load(std::memory_order_relaxed);
-  out.chunks_duplicate =
-      stats_.chunks_duplicate.load(std::memory_order_relaxed);
-  out.chunks_fenced = stats_.chunks_fenced.load(std::memory_order_relaxed);
-  out.offset_commits = stats_.offset_commits.load(std::memory_order_relaxed);
-  out.bytes_appended = stats_.bytes_appended.load(std::memory_order_relaxed);
-  out.consume_rpcs = stats_.consume_rpcs.load(std::memory_order_relaxed);
-  out.chunks_served = stats_.chunks_served.load(std::memory_order_relaxed);
-  out.consume_long_polls =
-      stats_.consume_long_polls.load(std::memory_order_relaxed);
-  out.replication_batches =
-      stats_.replication_batches.load(std::memory_order_relaxed);
-  out.replication_rpcs =
-      stats_.replication_rpcs.load(std::memory_order_relaxed);
-  out.replication_bytes =
-      stats_.replication_bytes.load(std::memory_order_relaxed);
-  out.checksum_failures =
-      stats_.checksum_failures.load(std::memory_order_relaxed);
-  out.cross_shard_ops = stats_.cross_shard_ops.load(std::memory_order_relaxed);
-  out.recovery_produce_rpcs =
-      stats_.recovery_produce_rpcs.load(std::memory_order_relaxed);
-  out.recovery_chunks_appended =
-      stats_.recovery_chunks_appended.load(std::memory_order_relaxed);
-  out.recovery_bytes_appended =
-      stats_.recovery_bytes_appended.load(std::memory_order_relaxed);
+  Stats out = Snapshot(stats_);
   out.shard_frames.reserve(shards_);
   for (const auto& rt : shard_rt_) {
     out.shard_mailbox_enqueues += rt->mailbox.enqueues();

@@ -7,6 +7,7 @@
 #include <array>
 #include <atomic>
 #include <condition_variable>
+#include <cstddef>
 #include <functional>
 #include <map>
 #include <memory>
@@ -19,6 +20,7 @@
 
 #include "broker/shard_mailbox.h"
 #include "broker/tiered_store.h"
+#include "common/stats.h"
 #include "common/status.h"
 #include "common/types.h"
 #include "rpc/messages.h"
@@ -173,12 +175,6 @@ class Broker final : public rpc::RpcHandler {
   /// aborts it on the vlog. Returns the replication status.
   Status ShipBatch(VirtualLog& vlog, const ReplicationBatch& batch);
 
-  /// Serializes a batch into a materialized kReplicate frame (for callers
-  /// that need contiguous bytes, e.g. DES costing; ShipBatch itself sends
-  /// the frame in scatter-gather parts without materializing it).
-  [[nodiscard]] std::vector<std::byte> BuildReplicateFrame(
-      const ReplicationBatch& batch) const;
-
   // ----- introspection / maintenance -----
 
   struct Stats {
@@ -211,9 +207,8 @@ class Broker final : public rpc::RpcHandler {
     /// admin ops executed cross-shard, and data-plane frames per shard
     /// (produce + consume; size == config().shards). Mis-routing shows
     /// up as cross_shard_ops > 0 or a lopsided shard_frames.
-    uint64_t shard_mailbox_enqueues = 0;
     uint64_t cross_shard_ops = 0;
-    std::vector<uint64_t> shard_frames;
+    uint64_t shard_mailbox_enqueues = 0;
     /// Tiered broker memory: spill/eviction activity and the cold-read
     /// path (all zero while memory_budget_bytes == 0).
     uint64_t segments_spilled = 0;
@@ -227,7 +222,44 @@ class Broker final : public rpc::RpcHandler {
     uint64_t memory_buffers_outstanding = 0;
     uint64_t memory_peak_buffers = 0;
     uint64_t memory_bytes_resident = 0;
+    std::vector<uint64_t> shard_frames;
+
+    /// The counters up to cross_shard_ops are the broker's own; GetStats
+    /// fills the rest from the mailboxes, the memory pool and the tier.
+    static constexpr StatField<Stats> kFields[] = {
+        {"produce_rpcs", &Stats::produce_rpcs},
+        {"chunks_appended", &Stats::chunks_appended},
+        {"chunks_duplicate", &Stats::chunks_duplicate},
+        {"chunks_fenced", &Stats::chunks_fenced},
+        {"offset_commits", &Stats::offset_commits},
+        {"bytes_appended", &Stats::bytes_appended},
+        {"consume_rpcs", &Stats::consume_rpcs},
+        {"chunks_served", &Stats::chunks_served},
+        {"consume_long_polls", &Stats::consume_long_polls},
+        {"replication_batches", &Stats::replication_batches},
+        {"replication_rpcs", &Stats::replication_rpcs},
+        {"replication_bytes", &Stats::replication_bytes},
+        {"checksum_failures", &Stats::checksum_failures},
+        {"recovery_produce_rpcs", &Stats::recovery_produce_rpcs},
+        {"recovery_chunks_appended", &Stats::recovery_chunks_appended},
+        {"recovery_bytes_appended", &Stats::recovery_bytes_appended},
+        {"cross_shard_ops", &Stats::cross_shard_ops},
+        {"shard_mailbox_enqueues", &Stats::shard_mailbox_enqueues},
+        {"segments_spilled", &Stats::segments_spilled},
+        {"segments_evicted", &Stats::segments_evicted},
+        {"spill_bytes", &Stats::spill_bytes},
+        {"cold_reads", &Stats::cold_reads},
+        {"cold_cache_hits", &Stats::cold_cache_hits},
+        {"cold_cache_misses", &Stats::cold_cache_misses},
+        {"readahead_hits", &Stats::readahead_hits},
+        {"memory_buffers_outstanding", &Stats::memory_buffers_outstanding},
+        {"memory_peak_buffers", &Stats::memory_peak_buffers},
+        {"memory_bytes_resident", &Stats::memory_bytes_resident},
+    };
+    /// Sums every counter and shard_frames element-wise.
+    Stats& operator+=(const Stats& o);
   };
+  static_assert(CountersCovered<Stats>(offsetof(Stats, shard_frames)));
   [[nodiscard]] Stats GetStats() const;
 
   /// Per-(streamlet, producer) dedup-hit counts for a stream, merged
@@ -370,9 +402,6 @@ class Broker final : public rpc::RpcHandler {
     }
   };
 
-  void EncodeReplicateBody(const ReplicationBatch& batch,
-                           rpc::Writer& body) const;
-
   /// One pass of the consume gather (durability-gated chunk collection for
   /// every entry). `payload_bytes` receives the total chunk bytes served;
   /// `all_terminal` is true when no requested entry can ever yield more
@@ -484,28 +513,10 @@ class Broker final : public rpc::RpcHandler {
   mutable std::mutex live_backups_mu_;
   std::vector<NodeId> live_backups_;
 
-  /// Stats counters are lock-free so the produce/consume/replication hot
-  /// paths never serialize on a stats mutex.
-  struct AtomicStats {
-    std::atomic<uint64_t> produce_rpcs{0};
-    std::atomic<uint64_t> chunks_appended{0};
-    std::atomic<uint64_t> chunks_duplicate{0};
-    std::atomic<uint64_t> chunks_fenced{0};
-    std::atomic<uint64_t> offset_commits{0};
-    std::atomic<uint64_t> bytes_appended{0};
-    std::atomic<uint64_t> consume_rpcs{0};
-    std::atomic<uint64_t> chunks_served{0};
-    std::atomic<uint64_t> consume_long_polls{0};
-    std::atomic<uint64_t> replication_batches{0};
-    std::atomic<uint64_t> replication_rpcs{0};
-    std::atomic<uint64_t> replication_bytes{0};
-    std::atomic<uint64_t> checksum_failures{0};
-    std::atomic<uint64_t> cross_shard_ops{0};
-    std::atomic<uint64_t> recovery_produce_rpcs{0};
-    std::atomic<uint64_t> recovery_chunks_appended{0};
-    std::atomic<uint64_t> recovery_bytes_appended{0};
-  };
-  AtomicStats stats_;
+  /// Live counters, bumped lock-free (relaxed atomic_ref) so the
+  /// produce/consume/replication hot paths never serialize on a stats
+  /// mutex.
+  Stats stats_;
 
   /// Set by StopConsumeWaits: long-poll parking is disabled and parked
   /// handlers return on their next wake.

@@ -29,8 +29,8 @@
 // the durability protocol.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
+#include <cstddef>
 #include <deque>
 #include <map>
 #include <memory>
@@ -39,6 +39,7 @@
 #include <tuple>
 #include <vector>
 
+#include "common/stats.h"
 #include "common/status.h"
 #include "common/types.h"
 #include "storage/memory_manager.h"
@@ -130,13 +131,26 @@ class TieredStore {
     uint64_t readahead_loads = 0;   // segments loaded speculatively
     uint64_t resident_sealed_bytes = 0;  // unevicted sealed bytes (tracked)
     SegmentLog::Stats log;
+
+    static constexpr StatField<Stats> kFields[] = {
+        {"segments_spilled", &Stats::segments_spilled},
+        {"segments_evicted", &Stats::segments_evicted},
+        {"spill_bytes", &Stats::spill_bytes},
+        {"cold_reads", &Stats::cold_reads},
+        {"cold_cache_hits", &Stats::cold_cache_hits},
+        {"cold_cache_misses", &Stats::cold_cache_misses},
+        {"readahead_hits", &Stats::readahead_hits},
+        {"readahead_loads", &Stats::readahead_loads},
+        {"resident_sealed_bytes", &Stats::resident_sealed_bytes},
+    };
   };
+  static_assert(CountersCovered<Stats>(offsetof(Stats, log)));
   [[nodiscard]] Stats GetStats() const;
 
   /// Counts one chunk served from cold memory (the broker's consume path
   /// calls it; kept here so the counter rides the tier's stats).
   void NoteColdChunksServed(uint64_t n) {
-    cold_reads_.fetch_add(n, std::memory_order_relaxed);
+    Bump(stats_.cold_reads, n);
   }
 
   [[nodiscard]] uint32_t ShardOf(StreamletId streamlet) const {
@@ -203,14 +217,7 @@ class TieredStore {
   std::map<SegmentLog::CopyKey, std::shared_ptr<ColdSegment>> cache_;
   uint64_t cache_clock_ = 0;
 
-  std::atomic<uint64_t> segments_spilled_{0};
-  std::atomic<uint64_t> segments_evicted_{0};
-  std::atomic<uint64_t> spill_bytes_{0};
-  std::atomic<uint64_t> cold_reads_{0};
-  std::atomic<uint64_t> cold_cache_hits_{0};
-  std::atomic<uint64_t> cold_cache_misses_{0};
-  std::atomic<uint64_t> readahead_hits_{0};
-  std::atomic<uint64_t> readahead_loads_{0};
+  Stats stats_;  // live counters; resident_sealed_bytes and log unused
 
   // Async readahead (socket/threaded transports only).
   std::mutex ra_mu_;

@@ -14,16 +14,33 @@
 //     ordering / at-least-once / bounded-redelivery oracles.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <string>
 
 #include "chaos/chaos_net.h"
 #include "chaos/fault_schedule.h"
+#include "common/stats.h"
+#include "coordinator/coordinator.h"
 
 namespace kera::chaos {
 
 struct RunResult {
+  // Harness counters, declared first for the kFields layout guard.
+  uint64_t events_run = 0;
+  uint64_t events_skipped = 0;  // deterministically skipped (see harness)
+  uint64_t checks = 0;          // individual invariant checks performed
+  uint64_t acked_chunks = 0;
+  uint64_t consumed_chunks = 0;     // fresh chunks across all consumers
+  uint64_t redelivered_chunks = 0;  // re-consumed after consumer restarts
+  uint64_t retried_sends = 0;       // producer resends of a chunk frame
+  uint64_t abandoned_sends = 0;     // chunks never acked within the event
+  uint64_t dedup_hits = 0;          // broker exactly-once rejections
+  uint64_t recovery_replayed = 0;   // chunks replayed by crash/migration
+  uint64_t power_loss_events = 0;      // executed power-loss faults
+  uint64_t power_loss_recovered = 0;   // copies rebuilt by post-cut scans
+
   bool ok = true;
   /// Violation or infrastructure-error description when !ok.
   std::string failure;
@@ -34,53 +51,40 @@ struct RunResult {
   /// lines. ParseTrace(trace) recovers the exact schedule.
   std::string trace;
 
-  uint64_t events_run = 0;
-  uint64_t events_skipped = 0;  // deterministically skipped (see harness)
-  uint64_t checks = 0;          // individual invariant checks performed
-  uint64_t acked_chunks = 0;
-  uint64_t consumed_chunks = 0;     // fresh chunks across all consumers
-  uint64_t redelivered_chunks = 0;  // re-consumed after consumer restarts
-  uint64_t retried_sends = 0;       // producer resends of a chunk frame
-  uint64_t abandoned_sends = 0;     // chunks never acked within the event
-  uint64_t dedup_hits = 0;          // broker exactly-once rejections
-  // Exactly-once mode (RunOptions::exactly_once) totals: epoch-fence
-  // rejections and offset-commit system chunks applied, summed over the
-  // brokers alive at run end. Both stay 0 when the mode is off.
-  uint64_t fenced_rejections = 0;
-  uint64_t offset_commits = 0;
-  uint64_t recovery_replayed = 0;   // chunks replayed by crash/migration
-  // Parallel-recovery engine totals (Coordinator::RecoveryStats). Task,
-  // RPC and fan-out counts are deterministic (the engine executes
-  // serially under the single-threaded chaos network and only MODELS the
-  // fan-out); the p50/p99 per-task replay times are wall-clock —
-  // report-only, never compare them.
-  uint64_t recovery_tasks = 0;         // one per (vlog, vseg) replayed
-  uint64_t recovery_bytes = 0;         // chunk-frame bytes re-ingested
-  uint64_t recovery_read_rpcs = 0;     // batched backup reads issued
-  uint64_t recovery_read_rpcs_saved = 0;  // vs one read RPC per segment
-  uint64_t recovery_peak_fanout = 0;      // modeled concurrent lanes
-  uint64_t recovery_task_p50_us = 0;      // NOT deterministic
-  uint64_t recovery_task_p99_us = 0;      // NOT deterministic
-  uint64_t power_loss_events = 0;      // executed power-loss faults
-  uint64_t power_loss_recovered = 0;   // copies rebuilt by post-cut scans
-  // Backup segment-log flush totals at run end (power-loss mode only).
-  // Group-commit boundaries depend on flusher wakeup timing, so these are
-  // NOT deterministic across runs — report them, never compare them.
-  uint64_t backup_flush_groups = 0;
-  uint64_t backup_fsyncs = 0;
-  uint64_t backup_bytes_flushed = 0;
-  // Tiered broker memory totals (RunOptions::memory_budget_bytes > 0
-  // only). Spill/evict/cold-read counts are deterministic — eviction is a
-  // pure function of the schedule (the evictor forces the spill record
-  // durable rather than racing the flusher) — but they are reported, not
-  // traced, so trace comparison stays byte-stable across modes.
-  uint64_t segments_spilled = 0;
-  uint64_t segments_evicted = 0;
-  uint64_t cold_reads = 0;
-  uint64_t cold_cache_hits = 0;
-  uint64_t cold_cache_misses = 0;
+  // Component stats at run end: the chaos network's, and the brokers' and
+  // backups' summed over the cluster's current instances. They are
+  // reported, never traced, so traces stay byte-stable across modes.
+  // Deterministic: the network, recovery task/RPC/fan-out counts (the
+  // engine runs serially under the single-threaded chaos network and only
+  // MODELS the fan-out), and the tiered spill/evict/cold-read counts
+  // (eviction is a pure function of the schedule: the evictor forces the
+  // spill record durable rather than racing the flusher). NOT
+  // deterministic — report them, never compare them: the recovery *_us
+  // timings and task_replay_us, and the backup flush_groups/fsyncs/
+  // bytes_flushed (group-commit boundaries depend on flusher wakeups).
   ChaosNetwork::Stats net;
+  Broker::Stats brokers;
+  Backup::Stats backups;
+  Coordinator::RecoveryStats recovery;
+
+  static constexpr StatField<RunResult> kFields[] = {
+      {"events_run", &RunResult::events_run},
+      {"events_skipped", &RunResult::events_skipped},
+      {"invariant_checks", &RunResult::checks},
+      {"acked_chunks", &RunResult::acked_chunks},
+      {"consumed_chunks", &RunResult::consumed_chunks},
+      {"redelivered_chunks", &RunResult::redelivered_chunks},
+      {"retried_sends", &RunResult::retried_sends},
+      {"abandoned_sends", &RunResult::abandoned_sends},
+      {"dedup_hits", &RunResult::dedup_hits},
+      {"recovery_replayed", &RunResult::recovery_replayed},
+      {"power_loss_events", &RunResult::power_loss_events},
+      {"power_loss_recovered", &RunResult::power_loss_recovered},
+  };
+  /// Sums the counters and every embedded stats struct (soak totals).
+  RunResult& operator+=(const RunResult& o);
 };
+static_assert(CountersCovered<RunResult>(offsetof(RunResult, ok)));
 
 /// Harness knobs that are NOT part of the schedule (the trace format and
 /// the seed->schedule mapping stay stable across them).

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/stats.h"
 #include "rpc/transport.h"
 
 namespace kera::chaos {
@@ -88,7 +89,24 @@ class ChaosNetwork final : public rpc::Network {
     uint64_t partitioned_calls = 0;
     uint64_t delays_injected = 0;
     uint64_t delay_us_injected = 0;
+
+    static constexpr StatField<Stats> kFields[] = {
+        {"calls", &Stats::calls},
+        {"dropped_requests", &Stats::dropped_requests},
+        {"dropped_responses", &Stats::dropped_responses},
+        {"duplicated_requests", &Stats::duplicated_requests},
+        {"replayed_frames", &Stats::replayed_frames},
+        {"discarded_frames", &Stats::discarded_frames},
+        {"partitioned_calls", &Stats::partitioned_calls},
+        {"delays_injected", &Stats::delays_injected},
+        {"delay_us_injected", &Stats::delay_us_injected},
+    };
+    Stats& operator+=(const Stats& o) {
+      AddCounters(*this, o);
+      return *this;
+    }
   };
+  static_assert(CountersCovered<Stats>(sizeof(Stats)));
   [[nodiscard]] Stats GetStats() const;
 
  private:

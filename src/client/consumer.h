@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "client/client_config.h"
+#include "common/stats.h"
 #include "common/status.h"
 #include "rpc/messages.h"
 #include "rpc/transport.h"
@@ -93,7 +94,20 @@ class Consumer {
     /// Offset-commit system chunks skipped (their records are cursor
     /// metadata, never handed to the application).
     uint64_t system_chunks_skipped = 0;
+
+    static constexpr StatField<Stats> kFields[] = {
+        {"records_consumed", &Stats::records_consumed},
+        {"chunks_received", &Stats::chunks_received},
+        {"bytes_received", &Stats::bytes_received},
+        {"requests_sent", &Stats::requests_sent},
+        {"empty_responses", &Stats::empty_responses},
+        {"checksum_failures", &Stats::checksum_failures},
+        {"flow_control_pauses", &Stats::flow_control_pauses},
+        {"offset_commits", &Stats::offset_commits},
+        {"system_chunks_skipped", &Stats::system_chunks_skipped},
+    };
   };
+  static_assert(CountersCovered<Stats>(sizeof(Stats)));
   [[nodiscard]] Stats GetStats() const;
 
   [[nodiscard]] const rpc::StreamInfo& stream_info() const { return info_; }
@@ -203,15 +217,9 @@ class Consumer {
   uint64_t commit_seq_ = 0;
   std::map<StreamletId, DeliveredPos> delivered_;
 
-  // Hot-path counters are relaxed atomics (touched per chunk / per poll).
-  std::atomic<uint64_t> records_consumed_{0};
-  std::atomic<uint64_t> chunks_received_{0};
-  std::atomic<uint64_t> bytes_received_{0};
-  std::atomic<uint64_t> requests_sent_{0};
-  std::atomic<uint64_t> empty_responses_{0};
-  std::atomic<uint64_t> checksum_failures_{0};
-  std::atomic<uint64_t> offset_commits_{0};
-  std::atomic<uint64_t> system_chunks_skipped_{0};
+  // Live counters, bumped with relaxed atomic increments (touched per
+  // chunk / per poll); flow_control_pauses is counted by fetched_.
+  Stats stats_;
 };
 
 }  // namespace kera

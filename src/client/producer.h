@@ -10,6 +10,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstddef>
 #include <map>
 #include <memory>
 #include <thread>
@@ -18,6 +19,7 @@
 #include "client/client_config.h"
 #include "common/histogram.h"
 #include "common/queue.h"
+#include "common/stats.h"
 #include "common/status.h"
 #include "rpc/messages.h"
 #include "rpc/transport.h"
@@ -66,7 +68,20 @@ class Producer {
     /// streamlet leaders (crash recovery / migration while in flight).
     uint64_t retry_repartitions = 0;
     Histogram request_latency_us;
+
+    static constexpr StatField<Stats> kFields[] = {
+        {"records_sent", &Stats::records_sent},
+        {"chunks_sent", &Stats::chunks_sent},
+        {"chunks_acked", &Stats::chunks_acked},
+        {"duplicates_reported", &Stats::duplicates_reported},
+        {"requests_sent", &Stats::requests_sent},
+        {"request_failures", &Stats::request_failures},
+        {"fenced_rejections", &Stats::fenced_rejections},
+        {"bytes_sent", &Stats::bytes_sent},
+        {"retry_repartitions", &Stats::retry_repartitions},
+    };
   };
+  static_assert(CountersCovered<Stats>(offsetof(Stats, request_latency_us)));
   [[nodiscard]] Stats GetStats() const;
 
   [[nodiscard]] const rpc::StreamInfo& stream_info() const { return info_; }
@@ -130,19 +145,12 @@ class Producer {
 
   std::thread requests_thread_;
 
-  // Hot-path counters are relaxed atomics (Send/Seal touch them per record
-  // or per chunk); only the latency histogram — one Record per request —
-  // stays behind a mutex.
-  std::atomic<uint64_t> records_sent_{0};
-  std::atomic<uint64_t> chunks_sent_{0};
-  std::atomic<uint64_t> duplicates_reported_{0};
-  std::atomic<uint64_t> requests_sent_{0};
-  std::atomic<uint64_t> request_failures_{0};
-  std::atomic<uint64_t> fenced_rejections_{0};
-  std::atomic<uint64_t> bytes_sent_{0};
-  std::atomic<uint64_t> retry_repartitions_{0};
+  // Live counters, bumped with relaxed atomic increments (Send/Seal touch
+  // them per record or per chunk). chunks_acked lives in chunks_acked_
+  // above, which Flush waits on; the latency histogram — one Record per
+  // request — stays behind latency_mu_.
+  Stats stats_;
   mutable std::mutex latency_mu_;
-  Histogram request_latency_us_;
 };
 
 }  // namespace kera

@@ -13,6 +13,7 @@
 // through the RPC network.
 #pragma once
 
+#include <cstddef>
 #include <functional>
 #include <map>
 #include <memory>
@@ -24,6 +25,7 @@
 #include "backup/backup.h"
 #include "broker/broker.h"
 #include "common/histogram.h"
+#include "common/stats.h"
 #include "common/status.h"
 #include "common/types.h"
 #include "rpc/messages.h"
@@ -114,8 +116,6 @@ class Coordinator final : public rpc::RpcHandler {
 
   std::vector<std::byte> HandleRpc(std::span<const std::byte> request) override;
 
-  [[nodiscard]] std::vector<NodeId> LiveBrokers() const;
-
   /// Recovery-engine telemetry. Counts (tasks, segments, chunks, bytes,
   /// RPCs, fan-out) are deterministic for a deterministic workload; the
   /// *_us timing fields are wall-clock measurements — report them, never
@@ -140,7 +140,32 @@ class Coordinator final : public rpc::RpcHandler {
     uint64_t modeled_mttr_us = 0;
     uint64_t modeled_serial_us = 0;
     Histogram task_replay_us;            // per-task replay wall time
+
+    static constexpr StatField<RecoveryStats> kFields[] = {
+        {"recoveries", &RecoveryStats::recoveries},
+        {"streamlets_scattered", &RecoveryStats::streamlets_scattered},
+        {"tasks_issued", &RecoveryStats::tasks_issued},
+        {"chunks_replayed", &RecoveryStats::chunks_replayed},
+        {"bytes_replayed", &RecoveryStats::bytes_replayed},
+        {"read_rpcs", &RecoveryStats::read_rpcs},
+        {"read_rpcs_saved", &RecoveryStats::read_rpcs_saved},
+        {"peak_fanout", &RecoveryStats::peak_fanout, StatMerge::kMax},
+        {"last_mttr_us", &RecoveryStats::last_mttr_us, StatMerge::kMax},
+        {"modeled_mttr_us", &RecoveryStats::modeled_mttr_us,
+         StatMerge::kMax},
+        {"modeled_serial_us", &RecoveryStats::modeled_serial_us,
+         StatMerge::kMax},
+    };
+    /// Sums the counts, keeps the largest peak and timings, and merges
+    /// the per-task histograms.
+    RecoveryStats& operator+=(const RecoveryStats& o) {
+      AddCounters(*this, o);
+      task_replay_us.Merge(o.task_replay_us);
+      return *this;
+    }
   };
+  static_assert(
+      CountersCovered<RecoveryStats>(offsetof(RecoveryStats, task_replay_us)));
   [[nodiscard]] RecoveryStats GetRecoveryStats() const;
 
   [[nodiscard]] const CoordinatorConfig& config() const { return config_; }

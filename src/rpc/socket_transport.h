@@ -49,6 +49,7 @@
 #include <vector>
 
 #include "common/queue.h"
+#include "common/stats.h"
 #include "common/status.h"
 #include "common/types.h"
 #include "rpc/transport.h"
@@ -157,7 +158,20 @@ class SocketNetwork final : public Network {
     /// mirror of PR 2's bytes-per-record accounting.
     uint64_t tx_copied_bytes = 0;
     uint64_t parts_copied_bytes = 0;  // parts-path share of the above: 0
+
+    static constexpr StatField<Stats> kFields[] = {
+        {"calls", &Stats::calls},
+        {"parts_calls", &Stats::parts_calls},
+        {"bytes_sent", &Stats::bytes_sent},
+        {"bytes_received", &Stats::bytes_received},
+        {"connections_opened", &Stats::connections_opened},
+        {"sendmsg_calls", &Stats::sendmsg_calls},
+        {"frames_sent", &Stats::frames_sent},
+        {"tx_copied_bytes", &Stats::tx_copied_bytes},
+        {"parts_copied_bytes", &Stats::parts_copied_bytes},
+    };
   };
+  static_assert(CountersCovered<Stats>(sizeof(Stats)));
   [[nodiscard]] Stats GetStats() const;
 
   // ----- deterministic test hooks (eventfd wake-race regressions) -----
@@ -284,18 +298,7 @@ class SocketNetwork final : public Network {
   std::function<void()> server_hook_before_drain_;
   std::function<void()> server_hook_after_drain_;
 
-  struct AtomicStats {
-    std::atomic<uint64_t> calls{0};
-    std::atomic<uint64_t> parts_calls{0};
-    std::atomic<uint64_t> bytes_sent{0};
-    std::atomic<uint64_t> bytes_received{0};
-    std::atomic<uint64_t> connections_opened{0};
-    std::atomic<uint64_t> sendmsg_calls{0};
-    std::atomic<uint64_t> frames_sent{0};
-    std::atomic<uint64_t> tx_copied_bytes{0};
-    std::atomic<uint64_t> parts_copied_bytes{0};
-  };
-  mutable AtomicStats stats_;
+  Stats stats_;
 };
 
 }  // namespace kera::rpc

@@ -41,10 +41,10 @@ Result<std::vector<std::byte>> DirectNetwork::Call(
   if (it == handlers_.end()) {
     return Status(StatusCode::kUnavailable, "node down");
   }
-  calls_.fetch_add(1, std::memory_order_relaxed);
-  bytes_sent_.fetch_add(request.size(), std::memory_order_relaxed);
+  Bump(stats_.calls);
+  Bump(stats_.bytes_sent, request.size());
   std::vector<std::byte> response = it->second->HandleRpc(request);
-  bytes_received_.fetch_add(response.size(), std::memory_order_relaxed);
+  Bump(stats_.bytes_received, response.size());
   return response;
 }
 

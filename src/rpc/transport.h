@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "common/queue.h"
+#include "common/stats.h"
 #include "common/status.h"
 #include "common/types.h"
 #include "rpc/serialize.h"
@@ -89,22 +90,22 @@ class DirectNetwork final : public Network {
     uint64_t calls = 0;
     uint64_t bytes_sent = 0;
     uint64_t bytes_received = 0;
+
+    static constexpr StatField<Stats> kFields[] = {
+        {"calls", &Stats::calls},
+        {"bytes_sent", &Stats::bytes_sent},
+        {"bytes_received", &Stats::bytes_received},
+    };
   };
-  [[nodiscard]] Stats GetStats() const {
-    Stats out;
-    out.calls = calls_.load(std::memory_order_relaxed);
-    out.bytes_sent = bytes_sent_.load(std::memory_order_relaxed);
-    out.bytes_received = bytes_received_.load(std::memory_order_relaxed);
-    return out;
-  }
+  static_assert(CountersCovered<Stats>(sizeof(Stats)));
+  [[nodiscard]] Stats GetStats() const { return Snapshot(stats_); }
 
  private:
   std::map<NodeId, RpcHandler*> handlers_;
-  // Relaxed atomics: handlers may be invoked from concurrent callers (the
-  // DES harness and tests drive one DirectNetwork from several threads).
-  std::atomic<uint64_t> calls_{0};
-  std::atomic<uint64_t> bytes_sent_{0};
-  std::atomic<uint64_t> bytes_received_{0};
+  // Bumped atomically: handlers may be invoked from concurrent callers
+  // (the DES harness and tests drive one DirectNetwork from several
+  // threads).
+  Stats stats_;
 };
 
 /// Fault-injection decorator: fails a configurable fraction of calls with

@@ -82,17 +82,11 @@ std::string CounterSummary(const RunResult& r) {
 
 TEST(ChaosSweep, RandomizedSchedulesHoldInvariants) {
   const uint32_t n = g_single_seed ? 1 : g_schedules;
-  uint64_t total_events = 0;
-  uint64_t total_checks = 0;
-  uint64_t total_acked = 0;
-  uint64_t total_consumed = 0;
+  RunResult total;
   for (uint32_t i = 0; i < n; ++i) {
     const uint64_t seed = g_single_seed ? g_seed : kSweepSeedBase + i;
     RunResult r = RunSeed(seed, g_events);
-    total_events += r.events_run;
-    total_checks += r.checks;
-    total_acked += r.acked_chunks;
-    total_consumed += r.consumed_chunks;
+    total += r;
     if (!r.ok) {
       std::string path = DumpFailureTrace(seed, r);
       FAIL() << "chaos schedule violated an invariant\n"
@@ -108,16 +102,16 @@ TEST(ChaosSweep, RandomizedSchedulesHoldInvariants) {
     }
   }
   // The sweep must actually exercise the system, not vacuously pass.
-  EXPECT_GT(total_acked, 0u);
-  EXPECT_GT(total_consumed, 0u);
-  EXPECT_GT(total_checks, 0u);
+  EXPECT_GT(total.acked_chunks, 0u);
+  EXPECT_GT(total.consumed_chunks, 0u);
+  EXPECT_GT(total.checks, 0u);
   std::fprintf(stderr,
                "[chaos] schedules=%u events=%llu checks=%llu acked=%llu "
                "consumed=%llu\n",
-               n, (unsigned long long)total_events,
-               (unsigned long long)total_checks,
-               (unsigned long long)total_acked,
-               (unsigned long long)total_consumed);
+               n, (unsigned long long)total.events_run,
+               (unsigned long long)total.checks,
+               (unsigned long long)total.acked_chunks,
+               (unsigned long long)total.consumed_chunks);
 }
 
 // ------------------------------------------------- sharded-broker sweep
@@ -134,15 +128,11 @@ TEST(ChaosSweep, ShardedBrokersHoldInvariants) {
   options.broker_shards = 2;
   const uint32_t n =
       g_single_seed ? 1 : std::max<uint32_t>(1, g_schedules / 4);
-  uint64_t total_checks = 0;
-  uint64_t total_acked = 0;
-  uint64_t total_consumed = 0;
+  RunResult total;
   for (uint32_t i = 0; i < n; ++i) {
     const uint64_t seed = g_single_seed ? g_seed : kSweepSeedBase + i;
     RunResult r = RunSeed(seed, g_events, options);
-    total_checks += r.checks;
-    total_acked += r.acked_chunks;
-    total_consumed += r.consumed_chunks;
+    total += r;
     if (!r.ok) {
       std::string path = DumpFailureTrace(seed, r);
       FAIL() << "chaos schedule violated an invariant with broker_shards=2\n"
@@ -157,9 +147,9 @@ TEST(ChaosSweep, ShardedBrokersHoldInvariants) {
              << " --schedules=1 --events=" << g_events;
     }
   }
-  EXPECT_GT(total_acked, 0u);
-  EXPECT_GT(total_consumed, 0u);
-  EXPECT_GT(total_checks, 0u);
+  EXPECT_GT(total.acked_chunks, 0u);
+  EXPECT_GT(total.consumed_chunks, 0u);
+  EXPECT_GT(total.checks, 0u);
 }
 
 // Same sweep with the parallel crash-recovery engine at full fan-out:
@@ -172,15 +162,11 @@ TEST(ChaosSweep, ParallelRecoverySchedulesHoldInvariants) {
   options.recovery_parallelism = 8;
   const uint32_t n =
       g_single_seed ? 1 : std::max<uint32_t>(1, g_schedules / 4);
-  uint64_t total_checks = 0;
-  uint64_t total_acked = 0;
-  uint64_t total_tasks = 0;
+  RunResult total;
   for (uint32_t i = 0; i < n; ++i) {
     const uint64_t seed = g_single_seed ? g_seed : kSweepSeedBase + i;
     RunResult r = RunSeed(seed, g_events, options);
-    total_checks += r.checks;
-    total_acked += r.acked_chunks;
-    total_tasks += r.recovery_tasks;
+    total += r;
     if (!r.ok) {
       std::string path = DumpFailureTrace(seed, r);
       FAIL() << "chaos schedule violated an invariant with "
@@ -196,8 +182,8 @@ TEST(ChaosSweep, ParallelRecoverySchedulesHoldInvariants) {
              << seed << " --schedules=1 --events=" << g_events;
     }
   }
-  EXPECT_GT(total_checks, 0u);
-  EXPECT_GT(total_acked, 0u);
+  EXPECT_GT(total.checks, 0u);
+  EXPECT_GT(total.acked_chunks, 0u);
 }
 
 // Determinism pin for the scatter engine: the recovery fan-out is a pure
@@ -221,9 +207,11 @@ TEST(ChaosSweep, TraceIdenticalAcrossRecoveryParallelism) {
         << ": trace diverged between recovery_parallelism 1 and 8";
     // The deterministic recovery counters must agree too (timing
     // percentiles are exempt — they are wall-clock, report-only).
-    EXPECT_EQ(a.recovery_tasks, b.recovery_tasks) << "seed " << seed;
-    EXPECT_EQ(a.recovery_bytes, b.recovery_bytes) << "seed " << seed;
-    EXPECT_EQ(a.recovery_read_rpcs, b.recovery_read_rpcs)
+    EXPECT_EQ(a.recovery.tasks_issued, b.recovery.tasks_issued)
+        << "seed " << seed;
+    EXPECT_EQ(a.recovery.bytes_replayed, b.recovery.bytes_replayed)
+        << "seed " << seed;
+    EXPECT_EQ(a.recovery.read_rpcs, b.recovery.read_rpcs)
         << "seed " << seed;
   }
 }
@@ -242,21 +230,11 @@ TEST(ChaosSweep, TieredMemorySchedulesHoldInvariants) {
   options.memory_budget_bytes = 1024;
   const uint32_t n =
       g_single_seed ? 1 : std::max<uint32_t>(1, g_schedules / 4);
-  uint64_t total_checks = 0;
-  uint64_t total_acked = 0;
-  uint64_t total_consumed = 0;
-  uint64_t total_spilled = 0;
-  uint64_t total_evicted = 0;
-  uint64_t total_cold_reads = 0;
+  RunResult total;
   for (uint32_t i = 0; i < n; ++i) {
     const uint64_t seed = g_single_seed ? g_seed : kSweepSeedBase + i;
     RunResult r = RunSeed(seed, g_events, options);
-    total_checks += r.checks;
-    total_acked += r.acked_chunks;
-    total_consumed += r.consumed_chunks;
-    total_spilled += r.segments_spilled;
-    total_evicted += r.segments_evicted;
-    total_cold_reads += r.cold_reads;
+    total += r;
     if (!r.ok) {
       std::string path = DumpFailureTrace(seed, r);
       FAIL() << "chaos schedule violated an invariant with "
@@ -272,20 +250,20 @@ TEST(ChaosSweep, TieredMemorySchedulesHoldInvariants) {
              << seed << " --schedules=1 --events=" << g_events;
     }
   }
-  EXPECT_GT(total_checks, 0u);
-  EXPECT_GT(total_acked, 0u);
-  EXPECT_GT(total_consumed, 0u);
+  EXPECT_GT(total.checks, 0u);
+  EXPECT_GT(total.acked_chunks, 0u);
+  EXPECT_GT(total.consumed_chunks, 0u);
   if (!g_single_seed) {
     // The band must force the tiered path, not leave every segment hot.
-    EXPECT_GT(total_spilled, 0u);
-    EXPECT_GT(total_evicted, 0u);
+    EXPECT_GT(total.brokers.segments_spilled, 0u);
+    EXPECT_GT(total.brokers.segments_evicted, 0u);
   }
   std::fprintf(stderr,
                "[chaos] tiered schedules=%u spilled=%llu evicted=%llu "
                "cold_reads=%llu\n",
-               n, (unsigned long long)total_spilled,
-               (unsigned long long)total_evicted,
-               (unsigned long long)total_cold_reads);
+               n, (unsigned long long)total.brokers.segments_spilled,
+               (unsigned long long)total.brokers.segments_evicted,
+               (unsigned long long)total.brokers.cold_reads);
 }
 
 // Determinism pin for the tiered path, in both directions. (a) The
@@ -310,14 +288,18 @@ TEST(ChaosDeterminism, TieredTraceIdenticalToUnbounded) {
     ASSERT_EQ(unbounded.trace, a.trace)
         << "seed " << seed
         << ": trace diverged between unbounded and tiered memory";
-    EXPECT_EQ(unbounded.segments_evicted, 0u) << "seed " << seed;
+    EXPECT_EQ(unbounded.brokers.segments_evicted, 0u) << "seed " << seed;
     ASSERT_EQ(a.trace, b.trace)
         << "seed " << seed << ": tiered trace diverged across reruns";
-    EXPECT_EQ(a.segments_spilled, b.segments_spilled) << "seed " << seed;
-    EXPECT_EQ(a.segments_evicted, b.segments_evicted) << "seed " << seed;
-    EXPECT_EQ(a.cold_reads, b.cold_reads) << "seed " << seed;
-    EXPECT_EQ(a.cold_cache_hits, b.cold_cache_hits) << "seed " << seed;
-    EXPECT_EQ(a.cold_cache_misses, b.cold_cache_misses) << "seed " << seed;
+    EXPECT_EQ(a.brokers.segments_spilled, b.brokers.segments_spilled)
+        << "seed " << seed;
+    EXPECT_EQ(a.brokers.segments_evicted, b.brokers.segments_evicted)
+        << "seed " << seed;
+    EXPECT_EQ(a.brokers.cold_reads, b.brokers.cold_reads) << "seed " << seed;
+    EXPECT_EQ(a.brokers.cold_cache_hits, b.brokers.cold_cache_hits)
+        << "seed " << seed;
+    EXPECT_EQ(a.brokers.cold_cache_misses, b.brokers.cold_cache_misses)
+        << "seed " << seed;
     EXPECT_EQ(CounterSummary(a), CounterSummary(b));
   }
 }
@@ -331,7 +313,7 @@ TEST(ChaosSweep, TieredBrokerCrashRecoversFromBackups) {
   RunOptions options;
   options.memory_budget_bytes = 1024;
   uint32_t crashes = 0;
-  uint64_t replayed = 0;
+  RunResult total;
   const uint32_t want = g_single_seed ? 1 : 3;
   uint64_t seed = g_single_seed ? g_seed : kSweepSeedBase;
   for (uint32_t guard = 0; crashes < want && guard < 64; ++seed, ++guard) {
@@ -342,8 +324,8 @@ TEST(ChaosSweep, TieredBrokerCrashRecoversFromBackups) {
     }
     if (!has_crash && !g_single_seed) continue;
     RunResult r = RunSchedule(s, options);
-    replayed += r.recovery_replayed;
-    if (r.recovery_tasks > 0) ++crashes;
+    total += r;
+    if (r.recovery.tasks_issued > 0) ++crashes;
     if (!r.ok) {
       std::string path = DumpFailureTrace(s.seed, r);
       FAIL() << "tiered broker-crash schedule violated an invariant\n"
@@ -358,7 +340,7 @@ TEST(ChaosSweep, TieredBrokerCrashRecoversFromBackups) {
   }
   std::fprintf(stderr,
                "[chaos] tiered crash schedules=%u replayed=%llu\n", crashes,
-               (unsigned long long)replayed);
+               (unsigned long long)total.recovery_replayed);
 }
 
 // ------------------------------------------------- power-loss sweep
@@ -375,9 +357,7 @@ TEST(ChaosSweep, PowerLossSchedulesHoldInvariants) {
   const uint32_t want =
       g_single_seed ? 1 : std::max<uint32_t>(1, g_schedules / 8);
   uint32_t ran = 0;
-  uint64_t pl_events = 0;
-  uint64_t pl_recovered = 0;
-  uint64_t total_acked = 0;
+  RunResult total;
   uint64_t seed = g_single_seed ? g_seed : kSweepSeedBase;
   for (; ran < want; ++seed) {
     Schedule s = GenerateSchedule(seed, g_events);
@@ -387,9 +367,7 @@ TEST(ChaosSweep, PowerLossSchedulesHoldInvariants) {
     }
     ++ran;
     RunResult r = RunSchedule(s);
-    pl_events += r.power_loss_events;
-    pl_recovered += r.power_loss_recovered;
-    total_acked += r.acked_chunks;
+    total += r;
     if (!r.ok) {
       std::string path = DumpFailureTrace(s.seed, r);
       FAIL() << "power-loss schedule violated an invariant\n"
@@ -406,15 +384,15 @@ TEST(ChaosSweep, PowerLossSchedulesHoldInvariants) {
   }
   if (!g_single_seed) {
     // The sweep must actually tear logs, not vacuously pass.
-    EXPECT_GT(pl_events, 0u);
-    EXPECT_GT(total_acked, 0u);
+    EXPECT_GT(total.power_loss_events, 0u);
+    EXPECT_GT(total.acked_chunks, 0u);
   }
   std::fprintf(stderr,
                "[chaos] power-loss schedules=%u cuts=%llu recovered=%llu "
                "acked=%llu\n",
-               ran, (unsigned long long)pl_events,
-               (unsigned long long)pl_recovered,
-               (unsigned long long)total_acked);
+               ran, (unsigned long long)total.power_loss_events,
+               (unsigned long long)total.power_loss_recovered,
+               (unsigned long long)total.acked_chunks);
 }
 
 // A power-loss run is deterministic end to end: the cut offset is a pure
@@ -527,21 +505,11 @@ TEST(ChaosSweep, ExactlyOnceSchedulesHoldInvariants) {
   RunOptions options;
   options.exactly_once = true;
   const uint32_t n = g_single_seed ? 1 : g_schedules;
-  uint64_t total_acked = 0;
-  uint64_t total_consumed = 0;
-  uint64_t total_redelivered = 0;
-  uint64_t total_commits = 0;
-  uint64_t total_fenced = 0;
-  uint64_t pl_events = 0;
+  RunResult total;
   for (uint32_t i = 0; i < n; ++i) {
     const uint64_t seed = g_single_seed ? g_seed : kSweepSeedBase + i;
     RunResult r = RunSeed(seed, g_events, options);
-    total_acked += r.acked_chunks;
-    total_consumed += r.consumed_chunks;
-    total_redelivered += r.redelivered_chunks;
-    total_commits += r.offset_commits;
-    total_fenced += r.fenced_rejections;
-    pl_events += r.power_loss_events;
+    total += r;
     if (!r.ok) {
       std::string path = DumpFailureTrace(seed, r);
       FAIL() << "exactly-once schedule violated an invariant\n"
@@ -560,19 +528,19 @@ TEST(ChaosSweep, ExactlyOnceSchedulesHoldInvariants) {
   }
   // The sweep must exercise the exactly-once machinery, not vacuously
   // pass: data flowed, commits landed, and nothing was ever redelivered.
-  EXPECT_GT(total_acked, 0u);
-  EXPECT_GT(total_consumed, 0u);
-  EXPECT_GT(total_commits, 0u);
-  EXPECT_EQ(total_redelivered, 0u);
+  EXPECT_GT(total.acked_chunks, 0u);
+  EXPECT_GT(total.consumed_chunks, 0u);
+  EXPECT_GT(total.brokers.offset_commits, 0u);
+  EXPECT_EQ(total.redelivered_chunks, 0u);
   std::fprintf(stderr,
                "[chaos] exactly-once schedules=%u acked=%llu consumed=%llu "
                "redelivered=%llu commits=%llu fenced=%llu power-loss=%llu\n",
-               n, (unsigned long long)total_acked,
-               (unsigned long long)total_consumed,
-               (unsigned long long)total_redelivered,
-               (unsigned long long)total_commits,
-               (unsigned long long)total_fenced,
-               (unsigned long long)pl_events);
+               n, (unsigned long long)total.acked_chunks,
+               (unsigned long long)total.consumed_chunks,
+               (unsigned long long)total.redelivered_chunks,
+               (unsigned long long)total.brokers.offset_commits,
+               (unsigned long long)total.brokers.chunks_fenced,
+               (unsigned long long)total.power_loss_events);
 }
 
 // Exactly-once runs are as deterministic as every other mode: commits,
@@ -598,8 +566,8 @@ TEST(ChaosSweep, ExactlyOnceOffIsInert) {
   for (uint32_t i = 0; i < n; ++i) {
     const uint64_t seed = g_single_seed ? g_seed : kSweepSeedBase + i;
     RunResult r = RunSeed(seed, g_events);
-    EXPECT_EQ(r.offset_commits, 0u) << "seed " << seed;
-    EXPECT_EQ(r.fenced_rejections, 0u) << "seed " << seed;
+    EXPECT_EQ(r.brokers.offset_commits, 0u) << "seed " << seed;
+    EXPECT_EQ(r.brokers.chunks_fenced, 0u) << "seed " << seed;
     EXPECT_EQ(r.trace.find("# commit c="), std::string::npos)
         << "commit annotation in an exactly-once-off trace, seed " << seed;
   }

@@ -1,8 +1,10 @@
 // Unit tests for src/common: status/result, CRC32C, buffer, queues,
-// histogram, RNG.
+// histogram, table-driven stats, RNG.
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstring>
+#include <string>
 #include <thread>
 
 #include "common/buffer.h"
@@ -10,6 +12,7 @@
 #include "common/histogram.h"
 #include "common/queue.h"
 #include "common/rng.h"
+#include "common/stats.h"
 #include "common/status.h"
 #include "common/sync.h"
 
@@ -319,6 +322,108 @@ TEST(HistogramTest, LargeValuesDoNotOverflowBuckets) {
   h.Record(uint64_t(1) << 45);  // beyond kMaxPow: clamps to last bucket
   EXPECT_EQ(h.count(), 1u);
   EXPECT_GT(h.Quantile(0.5), 0u);
+}
+
+struct TestStats {
+  uint64_t ops = 0;
+  uint64_t bytes = 0;
+  uint64_t errors = 0;
+  uint64_t peak = 0;
+  std::string label;  // not a counter: untouched by the helpers
+
+  static constexpr StatField<TestStats> kFields[] = {
+      {"ops", &TestStats::ops},
+      {"bytes", &TestStats::bytes},
+      {"errors", &TestStats::errors},
+      {"peak", &TestStats::peak, StatMerge::kMax},
+  };
+  TestStats& operator+=(const TestStats& o) {
+    AddCounters(*this, o);
+    return *this;
+  }
+};
+static_assert(CountersCovered<TestStats>(offsetof(TestStats, label)));
+
+// The layout guard rejects a table that skips a counter or names one
+// twice.
+struct MissingEntry {
+  uint64_t a = 0;
+  uint64_t b = 0;
+  static constexpr StatField<MissingEntry> kFields[] = {
+      {"a", &MissingEntry::a},
+  };
+};
+static_assert(!CountersCovered<MissingEntry>(sizeof(MissingEntry)));
+struct DuplicateEntry {
+  uint64_t a = 0;
+  uint64_t b = 0;
+  static constexpr StatField<DuplicateEntry> kFields[] = {
+      {"a", &DuplicateEntry::a},
+      {"b", &DuplicateEntry::a},
+  };
+};
+static_assert(!CountersCovered<DuplicateEntry>(sizeof(DuplicateEntry)));
+
+TEST(StatsTest, ConcurrentBumpsSnapshotAndSum) {
+  constexpr uint64_t kRounds = 20000;
+  TestStats live;
+  live.label = "live";
+  // Thread t adds (t + 1) * (field index + 1) to every field per round,
+  // so each field ends at a distinct total.
+  auto bumper = [&](uint64_t t) {
+    for (uint64_t r = 0; r < kRounds; ++r) {
+      uint64_t i = 0;
+      for (const auto& f : TestStats::kFields) {
+        Bump(live.*f.field, (t + 1) * (++i));
+      }
+    }
+  };
+  std::atomic<bool> done{false};
+  std::thread reader([&] {
+    // Relaxed snapshots racing the bumps never see a counter go back.
+    TestStats prev;
+    while (!done.load()) {
+      TestStats now = Snapshot(live);
+      EXPECT_GE(now.ops, prev.ops);
+      EXPECT_GE(now.bytes, prev.bytes);
+      EXPECT_TRUE(now.label.empty());
+      prev = now;
+    }
+  });
+  std::thread t0(bumper, 0), t1(bumper, 1);
+  t0.join();
+  t1.join();
+  done.store(true);
+  reader.join();
+
+  TestStats snap = Snapshot(live);
+  EXPECT_EQ(snap.ops, kRounds * (1 + 2) * 1);
+  EXPECT_EQ(snap.bytes, kRounds * (1 + 2) * 2);
+  EXPECT_EQ(snap.errors, kRounds * (1 + 2) * 3);
+  EXPECT_EQ(snap.peak, kRounds * (1 + 2) * 4);
+
+  TestStats other;
+  other.ops = 5;
+  other.bytes = 7;
+  other.errors = 11;
+  other.peak = 1;
+  TestStats sum = snap;
+  sum += other;
+  EXPECT_EQ(sum.ops, snap.ops + 5);
+  EXPECT_EQ(sum.bytes, snap.bytes + 7);
+  EXPECT_EQ(sum.errors, snap.errors + 11);
+  EXPECT_EQ(sum.peak, snap.peak);  // kMax keeps the larger
+  other += snap;
+  EXPECT_EQ(other.peak, snap.peak);
+
+  std::string listed;
+  ForEachCounter(other, [&](std::string_view name, uint64_t v) {
+    listed += std::string(name) + "=" + std::to_string(v) + " ";
+  });
+  EXPECT_EQ(listed, "ops=" + std::to_string(sum.ops) +
+                        " bytes=" + std::to_string(sum.bytes) +
+                        " errors=" + std::to_string(sum.errors) +
+                        " peak=" + std::to_string(sum.peak) + " ");
 }
 
 TEST(RngTest, Deterministic) {

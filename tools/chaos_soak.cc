@@ -1,7 +1,8 @@
 // chaos_soak: long-running chaos sweep for soak testing and CI stages.
 // Runs a contiguous band of seeds through the deterministic chaos harness
 // and emits a machine-readable JSON summary (schedules run, faults by
-// kind, invariant checks performed, workload counters). Any failing seed
+// kind, the harness counters, and the summed component stats under the
+// prefixes recovery_, backup_, net_ and broker_). Any failing seed
 // dumps its replayable trace and fails the process.
 //
 //   chaos_soak [--schedules=N] [--events=N] [--seed_base=N] [--shards=N]
@@ -23,9 +24,8 @@
 // --exactly_once turns on end-to-end exactly-once (RunOptions::
 // exactly_once): producers get coordinator epochs, every consume event
 // durably commits consumer cursors, restarts resume from broker offsets,
-// and the redelivery invariant tightens to zero. The soak JSON then
-// carries the dedup-hit / fence / offset-commit counters.
-#include <algorithm>
+// and the redelivery invariant tightens to zero; the JSON's dedup_hits,
+// broker_chunks_fenced and broker_offset_commits then go non-zero.
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
@@ -33,10 +33,12 @@
 #include <cstring>
 #include <map>
 #include <string>
+#include <string_view>
 
 #include "chaos/chaos_harness.h"
 #include "chaos/fault_schedule.h"
 #include "common/host_info.h"
+#include "common/stats.h"
 
 namespace {
 
@@ -128,44 +130,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     ++ran;
-    total.events_run += r.events_run;
-    total.events_skipped += r.events_skipped;
-    total.checks += r.checks;
-    total.acked_chunks += r.acked_chunks;
-    total.consumed_chunks += r.consumed_chunks;
-    total.redelivered_chunks += r.redelivered_chunks;
-    total.retried_sends += r.retried_sends;
-    total.abandoned_sends += r.abandoned_sends;
-    total.dedup_hits += r.dedup_hits;
-    total.fenced_rejections += r.fenced_rejections;
-    total.offset_commits += r.offset_commits;
-    total.recovery_replayed += r.recovery_replayed;
-    total.recovery_tasks += r.recovery_tasks;
-    total.recovery_bytes += r.recovery_bytes;
-    total.recovery_read_rpcs += r.recovery_read_rpcs;
-    total.recovery_read_rpcs_saved += r.recovery_read_rpcs_saved;
-    total.recovery_peak_fanout =
-        std::max(total.recovery_peak_fanout, r.recovery_peak_fanout);
-    total.recovery_task_p50_us =
-        std::max(total.recovery_task_p50_us, r.recovery_task_p50_us);
-    total.recovery_task_p99_us =
-        std::max(total.recovery_task_p99_us, r.recovery_task_p99_us);
-    total.power_loss_events += r.power_loss_events;
-    total.power_loss_recovered += r.power_loss_recovered;
-    total.backup_flush_groups += r.backup_flush_groups;
-    total.backup_fsyncs += r.backup_fsyncs;
-    total.backup_bytes_flushed += r.backup_bytes_flushed;
-    total.net.calls += r.net.calls;
-    total.net.dropped_requests += r.net.dropped_requests;
-    total.net.dropped_responses += r.net.dropped_responses;
-    total.net.duplicated_requests += r.net.duplicated_requests;
-    total.net.partitioned_calls += r.net.partitioned_calls;
-    total.net.delays_injected += r.net.delays_injected;
-    total.segments_spilled += r.segments_spilled;
-    total.segments_evicted += r.segments_evicted;
-    total.cold_reads += r.cold_reads;
-    total.cold_cache_hits += r.cold_cache_hits;
-    total.cold_cache_misses += r.cold_cache_misses;
+    total += r;
     if (ran % 100 == 0) {
       std::fprintf(stderr, "chaos_soak: %" PRIu64 "/%" PRIu64 " schedules\n",
                    ran, schedules);
@@ -179,93 +144,50 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "chaos_soak: cannot write %s\n", out_path.c_str());
     return 1;
   }
-  std::fprintf(out, "{\n");
-  std::fprintf(out, "  \"nproc\": %u,\n", kera::HostNproc());
-  std::fprintf(out, "  \"cpu_model\": \"%s\",\n",
-               kera::HostCpuModel().c_str());
-  std::fprintf(out, "  \"broker_shards\": %u,\n", shards);
-  std::fprintf(out, "  \"recovery_parallelism\": %u,\n",
-               recovery_parallelism);
-  std::fprintf(out, "  \"memory_budget_bytes\": %" PRIu64 ",\n",
-               memory_budget);
-  std::fprintf(out, "  \"exactly_once\": %s,\n",
-               exactly_once ? "true" : "false");
-  std::fprintf(out, "  \"schedules\": %" PRIu64 ",\n", ran);
-  std::fprintf(out, "  \"events_per_schedule\": %u,\n", events);
-  std::fprintf(out, "  \"seed_base\": %" PRIu64 ",\n", seed_base);
-  std::fprintf(out, "  \"seconds\": %.3f,\n", secs);
-  std::fprintf(out, "  \"faults_by_kind\": {\n");
-  size_t i = 0;
+  // One flat JSON object: run metadata, then the harness counters and
+  // each component's stats table under its prefix.
+  const char* sep = "{\n";
+  auto put = [&](const std::string& key, const std::string& value) {
+    std::fprintf(out, "%s  \"%s\": %s", sep, key.c_str(), value.c_str());
+    sep = ",\n";
+  };
+  auto put_counters = [&](const std::string& prefix, const auto& stats) {
+    kera::ForEachCounter(stats, [&](std::string_view name, uint64_t v) {
+      put(prefix + std::string(name), std::to_string(v));
+    });
+  };
+  char secs_buf[32];
+  std::snprintf(secs_buf, sizeof(secs_buf), "%.3f", secs);
+  std::string faults = "{";
   for (const auto& [kind, count] : faults_by_kind) {
-    std::fprintf(out, "    \"%s\": %" PRIu64 "%s\n", kind.c_str(), count,
-                 ++i == faults_by_kind.size() ? "" : ",");
+    faults += (faults.size() > 1 ? ", \"" : "\"") + kind +
+              "\": " + std::to_string(count);
   }
-  std::fprintf(out, "  },\n");
-  std::fprintf(out, "  \"events_run\": %" PRIu64 ",\n", total.events_run);
-  std::fprintf(out, "  \"events_skipped\": %" PRIu64 ",\n",
-               total.events_skipped);
-  std::fprintf(out, "  \"invariant_checks\": %" PRIu64 ",\n", total.checks);
-  std::fprintf(out, "  \"acked_chunks\": %" PRIu64 ",\n", total.acked_chunks);
-  std::fprintf(out, "  \"consumed_chunks\": %" PRIu64 ",\n",
-               total.consumed_chunks);
-  std::fprintf(out, "  \"redelivered_chunks\": %" PRIu64 ",\n",
-               total.redelivered_chunks);
-  std::fprintf(out, "  \"retried_sends\": %" PRIu64 ",\n",
-               total.retried_sends);
-  std::fprintf(out, "  \"abandoned_sends\": %" PRIu64 ",\n",
-               total.abandoned_sends);
-  std::fprintf(out, "  \"dedup_hits\": %" PRIu64 ",\n", total.dedup_hits);
-  std::fprintf(out, "  \"fenced_rejections\": %" PRIu64 ",\n",
-               total.fenced_rejections);
-  std::fprintf(out, "  \"offset_commits\": %" PRIu64 ",\n",
-               total.offset_commits);
-  std::fprintf(out, "  \"recovery_replayed\": %" PRIu64 ",\n",
-               total.recovery_replayed);
-  std::fprintf(out, "  \"recovery_tasks\": %" PRIu64 ",\n",
-               total.recovery_tasks);
-  std::fprintf(out, "  \"recovery_bytes\": %" PRIu64 ",\n",
-               total.recovery_bytes);
-  std::fprintf(out, "  \"recovery_read_rpcs\": %" PRIu64 ",\n",
-               total.recovery_read_rpcs);
-  std::fprintf(out, "  \"recovery_read_rpcs_saved\": %" PRIu64 ",\n",
-               total.recovery_read_rpcs_saved);
-  std::fprintf(out, "  \"recovery_peak_fanout\": %" PRIu64 ",\n",
-               total.recovery_peak_fanout);
-  std::fprintf(out, "  \"recovery_task_p50_us_max\": %" PRIu64 ",\n",
-               total.recovery_task_p50_us);
-  std::fprintf(out, "  \"recovery_task_p99_us_max\": %" PRIu64 ",\n",
-               total.recovery_task_p99_us);
-  std::fprintf(out, "  \"power_loss_events\": %" PRIu64 ",\n",
-               total.power_loss_events);
-  std::fprintf(out, "  \"power_loss_recovered\": %" PRIu64 ",\n",
-               total.power_loss_recovered);
-  std::fprintf(out, "  \"backup_flush_groups\": %" PRIu64 ",\n",
-               total.backup_flush_groups);
-  std::fprintf(out, "  \"backup_fsyncs\": %" PRIu64 ",\n",
-               total.backup_fsyncs);
-  std::fprintf(out, "  \"backup_bytes_flushed\": %" PRIu64 ",\n",
-               total.backup_bytes_flushed);
-  std::fprintf(out, "  \"net_calls\": %" PRIu64 ",\n", total.net.calls);
-  std::fprintf(out, "  \"net_dropped_requests\": %" PRIu64 ",\n",
-               total.net.dropped_requests);
-  std::fprintf(out, "  \"net_dropped_responses\": %" PRIu64 ",\n",
-               total.net.dropped_responses);
-  std::fprintf(out, "  \"net_duplicated_requests\": %" PRIu64 ",\n",
-               total.net.duplicated_requests);
-  std::fprintf(out, "  \"net_partitioned_calls\": %" PRIu64 ",\n",
-               total.net.partitioned_calls);
-  std::fprintf(out, "  \"net_delays_injected\": %" PRIu64 ",\n",
-               total.net.delays_injected);
-  std::fprintf(out, "  \"segments_spilled\": %" PRIu64 ",\n",
-               total.segments_spilled);
-  std::fprintf(out, "  \"segments_evicted\": %" PRIu64 ",\n",
-               total.segments_evicted);
-  std::fprintf(out, "  \"cold_reads\": %" PRIu64 ",\n", total.cold_reads);
-  std::fprintf(out, "  \"cold_cache_hits\": %" PRIu64 ",\n",
-               total.cold_cache_hits);
-  std::fprintf(out, "  \"cold_cache_misses\": %" PRIu64 "\n",
-               total.cold_cache_misses);
-  std::fprintf(out, "}\n");
+  faults += "}";
+
+  put("nproc", std::to_string(kera::HostNproc()));
+  put("cpu_model", "\"" + kera::HostCpuModel() + "\"");
+  put("broker_shards", std::to_string(shards));
+  put("recovery_parallelism", std::to_string(recovery_parallelism));
+  put("memory_budget_bytes", std::to_string(memory_budget));
+  put("exactly_once", exactly_once ? "true" : "false");
+  put("schedules", std::to_string(ran));
+  put("events_per_schedule", std::to_string(events));
+  put("seed_base", std::to_string(seed_base));
+  put("seconds", secs_buf);
+  put("faults_by_kind", faults);
+  put_counters("", total);
+  put_counters("recovery_", total.recovery);
+  // Percentiles of every run's per-task replay times merged: wall-clock,
+  // report-only.
+  put("recovery_task_p50_us",
+      std::to_string(total.recovery.task_replay_us.Quantile(0.50)));
+  put("recovery_task_p99_us",
+      std::to_string(total.recovery.task_replay_us.Quantile(0.99)));
+  put_counters("backup_", total.backups);
+  put_counters("net_", total.net);
+  put_counters("broker_", total.brokers);
+  std::fprintf(out, "\n}\n");
   std::fclose(out);
 
   std::fprintf(stderr,
