@@ -1,8 +1,9 @@
 // Consumer fetch-engine benchmarks: end-to-end consume throughput and
 // Poll latency against a real MiniCluster, varying the fetch pipeline
-// depth (consume requests in flight per broker) and the broker count, on
-// both the Direct (inline) and Socket (loopback TCP) transports; plus
-// the idle-stream RPC rate with and without broker long-poll.
+// depth (consume requests in flight per broker), the broker count and the
+// chunk size, on both the Direct (inline) and Socket (loopback TCP)
+// transports; plus the idle-stream RPC rate with and without broker
+// long-poll.
 //
 //   ./bench_consume --benchmark_out=BENCH_consume.json \
 //                   --benchmark_out_format=json
@@ -26,8 +27,17 @@
 namespace kera {
 namespace {
 
-constexpr size_t kRecordBytes = 1024;
 constexpr size_t kBytesPerBroker = 4u << 20;
+
+/// Stream shape: 16 KiB chunks of 1 KiB records, or (small) 1 KiB chunks
+/// of 100 B records — many small chunks per fetch byte budget.
+struct Shape {
+  size_t record_bytes;
+  size_t chunk_bytes;
+};
+Shape ShapeFor(bool small) {
+  return small ? Shape{100, 1 << 10} : Shape{1024, 16 << 10};
+}
 
 std::unique_ptr<MiniCluster> MakeCluster(bool socket, uint32_t brokers) {
   MiniClusterConfig cfg;
@@ -38,8 +48,9 @@ std::unique_ptr<MiniCluster> MakeCluster(bool socket, uint32_t brokers) {
 }
 
 /// Creates a sealed stream with one streamlet per broker holding
-/// kBytesPerBroker of 1 KB records, ready to be consumed.
-rpc::StreamInfo FillStream(MiniCluster& cluster, uint32_t brokers) {
+/// kBytesPerBroker of records, ready to be consumed.
+rpc::StreamInfo FillStream(MiniCluster& cluster, uint32_t brokers,
+                           Shape shape) {
   rpc::StreamOptions opts;
   opts.num_streamlets = brokers;
   opts.replication_factor = 1;
@@ -47,11 +58,11 @@ rpc::StreamInfo FillStream(MiniCluster& cluster, uint32_t brokers) {
   if (!info.ok()) std::abort();
   ProducerConfig pc;
   pc.stream = "bench";
-  pc.chunk_size = 16 << 10;
+  pc.chunk_size = shape.chunk_bytes;
   Producer producer(pc, cluster.network());
   if (!producer.Connect().ok()) std::abort();
-  std::vector<std::byte> value(kRecordBytes, std::byte{0x6B});
-  const size_t records = brokers * kBytesPerBroker / kRecordBytes;
+  std::vector<std::byte> value(shape.record_bytes, std::byte{0x6B});
+  const size_t records = brokers * kBytesPerBroker / shape.record_bytes;
   for (size_t i = 0; i < records; ++i) {
     if (!producer.Send(value).ok()) std::abort();
   }
@@ -67,22 +78,19 @@ void BM_ConsumeThroughput(benchmark::State& state) {
   const bool socket = state.range(0) != 0;
   const uint32_t brokers = uint32_t(state.range(1));
   const uint32_t depth = uint32_t(state.range(2));
-  const uint64_t expect_records = brokers * kBytesPerBroker / kRecordBytes;
+  const Shape shape = ShapeFor(state.range(3) != 0);
+  const uint64_t expect_records =
+      brokers * kBytesPerBroker / shape.record_bytes;
 
   Histogram poll_us;
   uint64_t requests = 0, empties = 0, records = 0;
   double secs = 0;
   for (auto _ : state) {
     auto cluster = MakeCluster(socket, brokers);
-    FillStream(*cluster, brokers);
+    FillStream(*cluster, brokers, shape);
     ConsumerConfig cc;
     cc.stream = "bench";
     cc.fetch_pipeline_depth = depth;
-    // Bounded fetches (a prefetch window of many small requests) instead
-    // of one giant transfer per broker: this is the shape the pipeline
-    // exists for, and what gives the depth knob something to overlap.
-    cc.max_bytes_per_request = 64 << 10;
-    cc.max_chunks_per_entry = 4;
     Consumer consumer(cc, cluster->network());
     if (!consumer.Connect().ok()) {
       state.SkipWithError("consumer connect failed");
@@ -123,8 +131,9 @@ void BM_ConsumeThroughput(benchmark::State& state) {
   state.counters["records"] = double(records);
 }
 BENCHMARK(BM_ConsumeThroughput)
-    ->ArgsProduct({{0, 1}, {1, 2, 4}, {1, 2, 4, 8}})
-    ->ArgNames({"socket", "brokers", "depth"})
+    ->ArgsProduct({{0, 1}, {1, 2, 4}, {1, 2, 4, 8}, {0}})
+    ->ArgsProduct({{0, 1}, {1, 4}, {1, 4}, {1}})
+    ->ArgNames({"socket", "brokers", "depth", "small"})
     ->Iterations(1)
     ->Unit(benchmark::kMillisecond);
 

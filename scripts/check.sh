@@ -156,6 +156,22 @@ echo "== exactly-once chaos soak (JSON to BENCH_chaos_eo.json) =="
 python3 -c 'import json,sys; json.load(open(sys.argv[1]))' \
   "$repo/BENCH_chaos_eo.json"
 
+echo "== tiered exactly-once chaos soak: no error lines (JSON to BENCH_chaos_tiered.json) =="
+# Crashes with a memory budget: a crashed broker must stop spilling before
+# MiniCluster deletes its spill tree, so a green run logs no error. Any
+# "[ERROR" line on stderr fails the stage.
+soak_err=$(mktemp)
+"$build/tools/chaos_soak" --schedules=40 --exactly_once --memory_budget=1024 \
+  --out="$repo/BENCH_chaos_tiered.json" 2> "$soak_err"
+if grep -F '[ERROR' "$soak_err"; then
+  echo "tiered chaos soak logged errors" >&2
+  rm -f "$soak_err"
+  exit 1
+fi
+rm -f "$soak_err"
+python3 -c 'import json,sys; json.load(open(sys.argv[1]))' \
+  "$repo/BENCH_chaos_tiered.json"
+
 echo "== micro-benchmark (JSON to BENCH_micro_core.json) =="
 cmake --build "$build" -j --target bench_micro_core
 "$build/bench/bench_micro_core" \

@@ -806,8 +806,14 @@ rpc::ConsumeResponse Broker::GatherConsume(StreamEntry& entry,
   *payload_bytes = 0;
   *all_terminal = !req.entries.empty();
   *rotated = false;
+  // The byte budget is split evenly over the entries: each entry may take
+  // an equal share of what the entries before it left, so one deep
+  // backlog cannot starve the entries after it. GetDurableChunks still
+  // hands every entry with durable data at least one chunk.
   size_t budget = req.max_bytes;
+  size_t entries_left = req.entries.size();
   for (const auto& e : req.entries) {
+    const size_t share = budget / entries_left--;
     rpc::ConsumeEntryResponse out;
     out.streamlet = e.streamlet;
     out.group = e.group;
@@ -833,7 +839,7 @@ rpc::ConsumeResponse Broker::GatherConsume(StreamEntry& entry,
     }
     out.group_exists = true;
     auto locators = group->GetDurableChunks(e.start_chunk, e.max_chunks,
-                                            budget);
+                                            share);
     uint64_t served = 0;
     if (tiered_ == nullptr) {
       // Unbounded memory: every segment is resident, spans alias it

@@ -114,6 +114,12 @@ class TieredStore {
   /// evacuate records so the spill log's GC can reclaim the copies.
   void OnGroupTrim(StreamId stream, StreamletId streamlet, Group* group);
 
+  /// Stops the spill log for good (its directory is about to be deleted
+  /// with a crashed broker): queued spill records are dropped and no
+  /// later pump writes to disk. Eviction stops with it, since no spill
+  /// record becomes durable any more.
+  void StopSpilling() { log_->Abandon(); }
+
   /// Read-through cold read of an evicted segment: cache hit or a spill
   /// log load (CRC-verified) plus readahead of the following segments.
   [[nodiscard]] Result<std::shared_ptr<const ColdSegment>> ReadCold(

@@ -51,16 +51,22 @@ struct ConsumerConfig {
   /// member must use the same share_count. 1/0 = own every group.
   uint32_t share_count = 1;
   uint32_t share_index = 0;
-  uint32_t max_chunks_per_entry = 4;
-  uint32_t max_bytes_per_request = 4u << 20;
+  /// Byte budget of one consume request (Kafka's fetch.max.bytes): the
+  /// broker splits it evenly over the request's entries, and an entry
+  /// with durable data always gets at least one chunk. A response that
+  /// fills at least half of it shows a backlog and keeps the fetch
+  /// pipeline open.
+  uint32_t max_bytes_per_request = 64u << 10;
   /// Idle backoff when no data is available (microseconds). Only used
   /// when long-poll is disabled (fetch_max_wait_us == 0) or a broker is
   /// unreachable; with long-poll the broker paces the consumer.
   uint64_t idle_backoff_us = 200;
-  /// Consume RPCs kept in flight per broker. Each broker has its own
-  /// fetch worker, which stripes the broker's active groups over up to
-  /// this many concurrent requests, so fetch overlaps decode/Poll and
-  /// brokers never serialize on each other. 1 keeps one request in
+  /// Consume RPCs kept in flight per broker while it has a backlog. Each
+  /// broker has its own fetch worker, which stripes the broker's active
+  /// groups over up to this many concurrent requests, so fetch overlaps
+  /// decode/Poll and brokers never serialize on each other. Without a
+  /// backlog (the last response filled less than half its byte budget)
+  /// the worker sends one long-poll instead. 1 keeps one request in
   /// flight per broker.
   uint32_t fetch_pipeline_depth = 4;
   /// Byte budget of the prefetch window, per broker: once this many
@@ -69,8 +75,9 @@ struct ConsumerConfig {
   /// requests may overshoot by up to fetch_pipeline_depth *
   /// max_bytes_per_request.
   size_t fetch_buffer_bytes = 8u << 20;
-  /// Long-poll: idle fetches ask the broker to park the request until
-  /// data is durable (or this wait elapses) instead of returning empty.
+  /// Long-poll: fetches without a backlog ask the broker to park the
+  /// request until data is durable (or this wait elapses) instead of
+  /// returning empty.
   /// 0 restores immediate-return polling with idle_backoff_us sleeps.
   uint64_t fetch_max_wait_us = 50'000;
   /// Minimum bytes a long-polled fetch waits for before returning (the

@@ -3,6 +3,7 @@
 #include <chrono>
 #include <deque>
 #include <future>
+#include <limits>
 #include <set>
 #include <utility>
 
@@ -16,6 +17,9 @@ constexpr size_t kMaxActiveGroups = 8;
 
 /// Sentinel group key marking a discovery probe (never a real cursor).
 constexpr GroupId kProbeGroup = ~GroupId(0);
+
+/// Entries carry no chunk limit: the request's byte budget sizes fetches.
+constexpr uint32_t kNoChunkLimit = std::numeric_limits<uint32_t>::max();
 
 /// Slice for waiting on in-flight futures: short enough that Close()
 /// returns promptly even while a long-poll is parked at the broker.
@@ -253,7 +257,7 @@ void Consumer::HandleEntry(
     NodeId broker, StreamletState& state,
     const rpc::ConsumeEntryResponse& entry,
     const std::shared_ptr<const std::vector<std::byte>>& buf,
-    bool* got_data) {
+    size_t* delivered) {
   if (entry.groups_created > state.groups_created) {
     state.groups_created = entry.groups_created;
   }
@@ -276,8 +280,8 @@ void Consumer::HandleEntry(
     fc.response = buf;
     Bump(stats_.chunks_received);
     Bump(stats_.bytes_received, fc.bytes.size());
+    *delivered += fc.bytes.size();
     fetched_.Push(std::move(fc));
-    *got_data = true;
   }
   it->second = entry.next_chunk;
   if (entry.group_closed) {
@@ -293,15 +297,15 @@ void Consumer::HandleEntry(
   }
 }
 
-bool Consumer::ProcessResponse(NodeId broker, std::vector<std::byte> raw) {
+size_t Consumer::ProcessResponse(NodeId broker, std::vector<std::byte> raw) {
   // Keep the response alive for as long as any fetched chunk aliases it;
   // decoded chunk spans point straight into this buffer.
   auto shared =
       std::make_shared<const std::vector<std::byte>>(std::move(raw));
   rpc::Reader r(*shared);
   auto resp = rpc::ConsumeResponse::Decode(r);
-  if (!resp.ok() || resp->status != StatusCode::kOk) return false;
-  bool got_data = false;
+  if (!resp.ok() || resp->status != StatusCode::kOk) return 0;
+  size_t delivered = 0;
   for (auto& entry : resp->entries) {
     auto sit = states_.find(entry.streamlet);
     if (sit == states_.end()) continue;
@@ -313,10 +317,10 @@ bool Consumer::ProcessResponse(NodeId broker, std::vector<std::byte> raw) {
       state.active.emplace(entry.group, 0);
       state.next_unstarted = FirstOwnedGroupAtOrAfter(entry.group + 1);
     }
-    HandleEntry(broker, state, entry, shared, &got_data);
+    HandleEntry(broker, state, entry, shared, &delivered);
   }
-  if (!got_data) Bump(stats_.empty_responses);
-  return got_data;
+  if (delivered == 0) Bump(stats_.empty_responses);
+  return delivered;
 }
 
 void Consumer::BrokerFetchLoop(NodeId broker,
@@ -332,7 +336,11 @@ void Consumer::BrokerFetchLoop(NodeId broker,
   std::deque<InFlight> inflight;
   std::set<std::pair<StreamletId, GroupId>> outstanding;
   std::set<StreamletId> probing;
-  bool idle = false;  // all-empty responses -> collapse to one long-poll
+  // The fill rule: only a response that carried at least half its byte
+  // budget shows a backlog, and only a backlog opens the pipeline. Any
+  // other response (and the first round) collapses the worker to one
+  // long-poll, which the broker returns as soon as data is durable.
+  bool backlog = false;
 
   while (running_.load(std::memory_order_acquire)) {
     // Collect the cursors that are free to fetch right now.
@@ -352,7 +360,7 @@ void Consumer::BrokerFetchLoop(NodeId broker,
         e.streamlet = sl;
         e.group = state.next_unstarted;
         e.start_chunk = 0;
-        e.max_chunks = config_.max_chunks_per_entry;
+        e.max_chunks = kNoChunkLimit;
         avail.push_back(e);
         keys.emplace_back(sl, kProbeGroup);
       } else {
@@ -362,7 +370,7 @@ void Consumer::BrokerFetchLoop(NodeId broker,
           e.streamlet = sl;
           e.group = group;
           e.start_chunk = cursor;
-          e.max_chunks = config_.max_chunks_per_entry;
+          e.max_chunks = kNoChunkLimit;
           avail.push_back(e);
           keys.emplace_back(sl, group);
         }
@@ -371,15 +379,15 @@ void Consumer::BrokerFetchLoop(NodeId broker,
     if (done_count == streamlets.size() && inflight.empty()) return;
 
     // Issue: stripe the available entries over the free pipeline slots.
-    // Idle mode sends a single request that long-polls at the broker
-    // (never more than one parked RPC per broker, so transport workers
-    // are not hoarded); streaming mode fills the pipeline with wait-0
-    // fetches.
+    // Without a backlog the worker sends a single request that long-polls
+    // at the broker (never more than one parked RPC per broker, so
+    // transport workers are not hoarded); with one it fills the pipeline
+    // with wait-0 fetches.
     const size_t depth = config_.fetch_pipeline_depth;
     size_t slots = depth > inflight.size() ? depth - inflight.size() : 0;
     size_t nreq = 0;
     if (!avail.empty() && slots > 0) {
-      nreq = idle && config_.fetch_max_wait_us > 0
+      nreq = !backlog && config_.fetch_max_wait_us > 0
                  ? (inflight.empty() ? 1 : 0)
                  : std::min(slots, avail.size());
     }
@@ -391,7 +399,7 @@ void Consumer::BrokerFetchLoop(NodeId broker,
       rpc::ConsumeRequest req;
       req.stream = info_.stream;
       req.max_bytes = config_.max_bytes_per_request;
-      if (idle) {
+      if (!backlog) {
         req.max_wait_us = config_.fetch_max_wait_us;
         req.min_bytes = config_.fetch_min_bytes;
       }
@@ -454,11 +462,9 @@ void Consumer::BrokerFetchLoop(NodeId broker,
           std::chrono::microseconds(config_.idle_backoff_us));
       continue;
     }
-    if (ProcessResponse(broker, std::move(*raw))) {
-      idle = false;
-    } else if (config_.fetch_max_wait_us > 0) {
-      idle = true;
-    } else {
+    const size_t delivered = ProcessResponse(broker, std::move(*raw));
+    backlog = delivered > 0 && 2 * delivered >= config_.max_bytes_per_request;
+    if (delivered == 0 && config_.fetch_max_wait_us == 0) {
       std::this_thread::sleep_for(
           std::chrono::microseconds(config_.idle_backoff_us));
     }

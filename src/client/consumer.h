@@ -3,12 +3,15 @@
 // up to ConsumerConfig::fetch_pipeline_depth requests in flight by
 // striping the broker's active (streamlet, group) cursors across them —
 // with at most one outstanding request per group, so chunks of a group
-// always arrive in order. Fetched chunks land in a bounded FetchBuffer:
+// always arrive in order. Fetches are sized in bytes
+// (max_bytes_per_request), and the pipeline stays open only while a
+// backlog fills them: a response that carried less than half its byte
+// budget collapses the worker to a single broker-side long-poll
+// (fetch_max_wait_us) instead of a burst of fetches that come back
+// empty. Fetched chunks land in a bounded FetchBuffer:
 // a per-broker byte budget (fetch_buffer_bytes) pauses a broker's
 // prefetch when too much data sits unpolled and resumes it when Poll()
-// drains. Workers with nothing buffered fall back to a single broker-side
-// long-poll request (fetch_max_wait_us) instead of spinning on empty
-// responses.
+// drains.
 //
 // Groups are independently consumable units (paper §IV.A): within one
 // streamlet, several groups are read in parallel (Q > 1 appends create
@@ -162,16 +165,18 @@ class Consumer {
   };
 
   /// Per-broker fetch worker: stripes available cursors over up to
-  /// fetch_pipeline_depth concurrent CallAsync requests.
+  /// fetch_pipeline_depth concurrent CallAsync requests while responses
+  /// fill their byte budget, one long-poll otherwise.
   void BrokerFetchLoop(NodeId broker,
                        const std::vector<StreamletId>& streamlets);
-  /// Decodes one consume response and applies it; returns true when any
-  /// chunk was delivered (counts an empty response otherwise).
-  bool ProcessResponse(NodeId broker, std::vector<std::byte> raw);
+  /// Decodes one consume response and applies it; returns the chunk bytes
+  /// delivered (counts an empty response when 0).
+  size_t ProcessResponse(NodeId broker, std::vector<std::byte> raw);
+  /// Applies one entry, adding its chunk bytes to `*delivered`.
   void HandleEntry(NodeId broker, StreamletState& state,
                    const rpc::ConsumeEntryResponse& entry,
                    const std::shared_ptr<const std::vector<std::byte>>& buf,
-                   bool* got_data);
+                   size_t* delivered);
   void MarkStreamletDone(StreamletState& state);
   /// Ingests one verified chunk on the polling thread: buffers the
   /// records of data chunks for Poll (offset-commit system chunks carry

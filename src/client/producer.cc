@@ -63,6 +63,7 @@ Status Producer::Connect() {
     }
     epoch_ = aresp->epoch;
   }
+  leaders_ = info_.streamlet_brokers;
   running_.store(true, std::memory_order_release);
   requests_thread_ = std::thread([this] { RequestsLoop(); });
   return OkStatus();
@@ -153,7 +154,6 @@ Status Producer::SealAndEnqueue(StreamletId streamlet, OpenChunk& open) {
 
   SealedChunk sealed;
   sealed.streamlet = streamlet;
-  sealed.broker = info_.streamlet_brokers[streamlet];
   sealed.bytes = bytes.size();
   sealed.records = open.builder->record_count();
   sealed.builder = std::move(open.builder);
@@ -183,23 +183,38 @@ void Producer::MaybeLingerFlush() {
 }
 
 void Producer::RequestsLoop() {
+  // One request per broker; issue them in parallel. The frame stays in
+  // scatter-gather form: the Writer's inline runs plus spans into the
+  // sealed chunk builders, both owned by the InFlight entry — alive until
+  // every retry round's futures have resolved, as the parts send path
+  // requires. Vectoring transports (SocketNetwork) put these pieces on the
+  // wire without ever materializing the frame.
+  struct InFlight {
+    NodeId broker;
+    rpc::Writer body;
+    std::array<std::byte, 2> opcode;
+    std::vector<SealedChunk> chunks;
+  };
   while (true) {
     auto first = sealed_.Pop();
     if (!first) break;  // shutdown
 
-    // Gather more sealed chunks without blocking, grouped per broker, up
-    // to request_size per broker (one request per broker, as in Fig. 6).
+    // Gather more sealed chunks without blocking, grouped per current
+    // leader, up to request_size per broker (one request per broker, as
+    // in Fig. 6).
     std::map<NodeId, std::vector<SealedChunk>> per_broker;
     std::map<NodeId, size_t> broker_bytes;
     auto add = [&](SealedChunk&& c) {
-      broker_bytes[c.broker] += c.bytes;
-      per_broker[c.broker].push_back(std::move(c));
+      const NodeId broker = leaders_[c.streamlet];
+      broker_bytes[broker] += c.bytes;
+      per_broker[broker].push_back(std::move(c));
     };
     add(std::move(*first));
     while (true) {
       auto more = sealed_.TryPop();
       if (!more) break;
-      if (broker_bytes[more->broker] + more->bytes > config_.request_size) {
+      if (broker_bytes[leaders_[more->streamlet]] + more->bytes >
+          config_.request_size) {
         // Send what we have for that broker later; push back is not
         // supported, so just include it — request_size is a soft cap per
         // batch round.
@@ -209,92 +224,58 @@ void Producer::RequestsLoop() {
       add(std::move(*more));
     }
 
-    // One request per broker; issue them in parallel. The frame stays in
-    // scatter-gather form: the Writer's inline runs plus spans into the
-    // sealed chunk builders, both owned by the InFlight entry — alive
-    // until every retry round's futures have resolved, as the parts send
-    // path requires. Vectoring transports (SocketNetwork) put these
-    // pieces on the wire without ever materializing the frame.
-    struct InFlight {
-      NodeId broker;
-      rpc::Writer body;
-      std::array<std::byte, 2> opcode;
-      std::vector<SealedChunk> chunks;
-    };
     std::vector<InFlight> requests;
-    for (auto& [broker, chunks] : per_broker) {
-      rpc::ProduceRequest req;
-      req.producer = config_.producer_id;
-      req.stream = info_.stream;
-      for (auto& c : chunks) {
-        req.chunks.push_back(c.builder->SealedView());
+    // Encodes one request per broker; returns their indices in requests.
+    auto add_requests = [&](std::map<NodeId, std::vector<SealedChunk>> by) {
+      std::vector<size_t> added;
+      for (auto& [broker, chunks] : by) {
+        rpc::ProduceRequest req;
+        req.producer = config_.producer_id;
+        req.stream = info_.stream;
+        for (auto& c : chunks) {
+          req.chunks.push_back(c.builder->SealedView());
+        }
+        InFlight inflight;
+        inflight.broker = broker;
+        inflight.body = rpc::Writer(64);
+        req.Encode(inflight.body);
+        inflight.chunks = std::move(chunks);
+        added.push_back(requests.size());
+        requests.push_back(std::move(inflight));
       }
-      InFlight inflight;
-      inflight.broker = broker;
-      inflight.body = rpc::Writer(64);
-      req.Encode(inflight.body);
-      inflight.chunks = std::move(chunks);
-      requests.push_back(std::move(inflight));
-    }
+      return added;
+    };
 
     // Issue the whole round over CallAsync and collect; brokers that fail
     // are retried together in the next attempt round.
     auto start = std::chrono::steady_clock::now();
-    std::vector<size_t> pending(requests.size());
-    for (size_t i = 0; i < requests.size(); ++i) pending[i] = i;
+    std::vector<size_t> pending = add_requests(std::move(per_broker));
     for (int attempt = 0;
          attempt <= config_.request_retries && !pending.empty(); ++attempt) {
-      if (attempt > 0) {
-        // The broker a chunk was sealed against may no longer lead its
-        // streamlet (crash recovery or migration mid-flight). Re-resolve
-        // leaders and, if any moved, re-partition the pending sealed
-        // chunks to the current leaders — the sealed frames are reused
-        // byte for byte, so the retry carries the same (pid, seq, epoch)
-        // and the new leader's dedup state (rebuilt from the backups)
-        // recognizes anything the old leader already accepted.
-        std::vector<NodeId> leaders;
-        if (FetchLeaders(&leaders)) {
-          bool moved = false;
+      if (attempt > 0 && RefreshLeaders()) {
+        // The broker a request went to may no longer lead its streamlets
+        // (crash recovery or migration mid-flight). If any leader moved,
+        // re-partition the pending sealed chunks to the current leaders —
+        // the sealed frames are reused byte for byte, so the retry carries
+        // the same (pid, seq, epoch) and the new leader's dedup state
+        // (rebuilt from the backups) recognizes anything the old leader
+        // already accepted. Later rounds address the new leaders directly.
+        bool moved = false;
+        for (size_t i : pending) {
+          for (const SealedChunk& c : requests[i].chunks) {
+            moved = moved || leaders_[c.streamlet] != requests[i].broker;
+          }
+        }
+        if (moved) {
+          Bump(stats_.retry_repartitions);
+          std::map<NodeId, std::vector<SealedChunk>> regrouped;
           for (size_t i : pending) {
-            for (const SealedChunk& c : requests[i].chunks) {
-              if (c.streamlet < leaders.size() &&
-                  leaders[c.streamlet] != requests[i].broker) {
-                moved = true;
-                break;
-              }
+            for (auto& c : requests[i].chunks) {
+              regrouped[leaders_[c.streamlet]].push_back(std::move(c));
             }
-            if (moved) break;
+            requests[i].chunks.clear();
           }
-          if (moved) {
-            Bump(stats_.retry_repartitions);
-            std::map<NodeId, std::vector<SealedChunk>> regrouped;
-            for (size_t i : pending) {
-              for (auto& c : requests[i].chunks) {
-                if (c.streamlet < leaders.size()) {
-                  c.broker = leaders[c.streamlet];
-                }
-                regrouped[c.broker].push_back(std::move(c));
-              }
-              requests[i].chunks.clear();
-            }
-            std::vector<size_t> repointed;
-            for (auto& [broker, chunks] : regrouped) {
-              rpc::ProduceRequest req;
-              req.producer = config_.producer_id;
-              req.stream = info_.stream;
-              for (auto& c : chunks) {
-                req.chunks.push_back(c.builder->SealedView());
-              }
-              InFlight inflight;
-              inflight.broker = broker;
-              inflight.body = rpc::Writer(64);
-              req.Encode(inflight.body);
-              inflight.chunks = std::move(chunks);
-              repointed.push_back(requests.size());
-              requests.push_back(std::move(inflight));
-            }
-            pending = std::move(repointed);
-          }
+          pending = add_requests(std::move(regrouped));
         }
       }
       std::vector<std::future<Result<std::vector<std::byte>>>> futures;
@@ -364,7 +345,7 @@ void Producer::RequestsLoop() {
   }
 }
 
-bool Producer::FetchLeaders(std::vector<NodeId>* leaders) {
+bool Producer::RefreshLeaders() {
   rpc::GetStreamInfoRequest req;
   req.name = config_.stream;
   rpc::Writer body;
@@ -374,8 +355,11 @@ bool Producer::FetchLeaders(std::vector<NodeId>* leaders) {
   if (!raw.ok()) return false;
   rpc::Reader r(*raw);
   auto resp = rpc::GetStreamInfoResponse::Decode(r);
-  if (!resp.ok() || resp->status != StatusCode::kOk) return false;
-  *leaders = resp->info.streamlet_brokers;
+  if (!resp.ok() || resp->status != StatusCode::kOk ||
+      resp->info.streamlet_brokers.size() != leaders_.size()) {
+    return false;
+  }
+  leaders_ = resp->info.streamlet_brokers;
   return true;
 }
 

@@ -93,7 +93,6 @@ class Producer {
   struct SealedChunk {
     std::unique_ptr<ChunkBuilder> builder;
     StreamletId streamlet = 0;
-    NodeId broker = 0;
     size_t bytes = 0;
     uint32_t records = 0;
   };
@@ -105,9 +104,9 @@ class Producer {
   Status SendRecord(std::span<const std::byte> key,
                     std::span<const std::byte> value, StreamletId streamlet);
   /// Re-resolves the stream's current streamlet leaders from the
-  /// coordinator into `leaders` (requests-thread only; info_ itself stays
-  /// immutable after Connect so the source thread reads it without locks).
-  bool FetchLeaders(std::vector<NodeId>* leaders);
+  /// coordinator into leaders_ (requests thread only). False when the
+  /// coordinator could not answer; leaders_ is then unchanged.
+  bool RefreshLeaders();
   Status SealAndEnqueue(StreamletId streamlet, OpenChunk& open);
   void MaybeLingerFlush();
   std::unique_ptr<ChunkBuilder> AcquireBuilder();
@@ -123,6 +122,12 @@ class Producer {
   /// chunks then keep the classic 56-byte header). Immutable after
   /// Connect, so both threads read it freely.
   uint32_t epoch_ = 0;
+
+  /// Requests-thread state: the leader each streamlet's chunks are sent
+  /// to. Seeded from info_ at Connect (info_ itself stays immutable, so
+  /// the source thread reads it without locks) and refreshed on a retry,
+  /// so every later request goes straight to a moved leader.
+  std::vector<NodeId> leaders_;
 
   // Source-thread state (single caller thread by contract).
   std::map<StreamletId, OpenChunk> open_chunks_;

@@ -195,9 +195,13 @@ void MiniCluster::CrashNode(NodeId node) {
   // A real crash loses the process-local spill log with the process; the
   // broker's durable data lives on the backups. Delete the node's whole
   // spill tree (all incarnations) so recovery provably never reads it.
-  // The dead broker object may still hold open fds — unlinking is safe,
-  // and its per-incarnation subdirectory is never reused (RestartNode
-  // bumps the incarnation).
+  // The dead broker object stops spilling first, so its flusher never
+  // writes into the deleted tree; it may still hold open fds — unlinking
+  // is safe, and its per-incarnation subdirectory is never reused
+  // (RestartNode bumps the incarnation).
+  if (TieredStore* tiered = brokers_[node - 1]->tiered()) {
+    tiered->StopSpilling();
+  }
   if (!SpillDirFor(node).empty()) {
     std::error_code ec;
     std::filesystem::remove_all(NodeDir(config_.broker.spill_dir, node), ec);

@@ -103,6 +103,8 @@ struct ConsumeEntryRequest {
 
 struct ConsumeRequest {
   StreamId stream = 0;
+  /// Split evenly over the entries; an entry with durable data always
+  /// gets at least one chunk.
   uint32_t max_bytes = 1u << 20;
   std::vector<ConsumeEntryRequest> entries;
   /// Long-poll: the broker parks the request until at least

@@ -132,6 +132,21 @@ SegmentLog::~SegmentLog() {
   if (flusher_.joinable()) flusher_.join();
 }
 
+void SegmentLog::Abandon() {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    shutdown_ = true;
+    pending_.clear();
+    pending_bytes_ = 0;
+    if (error_.ok()) {
+      error_ = Status(StatusCode::kUnavailable, "segment log abandoned");
+    }
+  }
+  flusher_cv_.notify_all();
+  durable_cv_.notify_all();
+  if (flusher_.joinable()) flusher_.join();
+}
+
 Status SegmentLog::status() const {
   std::lock_guard<std::mutex> lock(mu_);
   return error_;
@@ -376,6 +391,7 @@ void SegmentLog::ScanOnStartup() {
 uint64_t SegmentLog::Enqueue(const RecordHeader& h,
                              std::span<const std::byte> payload) {
   std::unique_lock<std::mutex> lock(mu_);
+  if (shutdown_) return next_ticket_++;  // abandoned: never durable
   PendingRecord rec;
   rec.header = h;
   rec.header.payload_len = uint32_t(payload.size());

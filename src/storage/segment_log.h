@@ -124,6 +124,13 @@ class SegmentLog {
   /// stops advancing and every Sync/WaitDurable reports the error.
   [[nodiscard]] Status status() const;
 
+  /// Stops all writing before the directory is deleted under the log (a
+  /// crashed broker's spill tree): drops the queued records, fails every
+  /// Sync/WaitDurable with kUnavailable, and returns once the flusher has
+  /// exited (a group commit already in progress completes first). Later
+  /// enqueues are dropped.
+  void Abandon();
+
   // ----- write path (enqueue; returns the group-commit ticket) -----------
 
   uint64_t EnqueueOpen(const CopyKey& key);

@@ -4,8 +4,11 @@
 // brokers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
+#include <future>
 #include <map>
+#include <mutex>
 #include <set>
 #include <string>
 #include <thread>
@@ -246,7 +249,7 @@ TEST(ConsumerEdgeTest, FlowControlPausesAndResumesUnderSlowPoller) {
 }
 
 TEST(ConsumerEdgeTest, PipelinedFetchPreservesPerGroupChunkOrder) {
-  // Pipelined fetches with small per-entry fetches: chunks of one group
+  // Pipelined fetches with small byte budgets: chunks of one group
   // must still be delivered in order (one outstanding request per group),
   // across group rollovers, at depth 1 and at depth 8.
   MiniClusterConfig cfg = SmallConfig();
@@ -279,7 +282,7 @@ TEST(ConsumerEdgeTest, PipelinedFetchPreservesPerGroupChunkOrder) {
     ConsumerConfig cc;
     cc.stream = "s";
     cc.fetch_pipeline_depth = depth;
-    cc.max_chunks_per_entry = 2;  // many small interleaved fetches
+    cc.max_bytes_per_request = 1 << 10;  // ~2 chunks: many small fetches
     Consumer consumer(cc, cluster.network());
     ASSERT_TRUE(consumer.Connect().ok());
     std::multiset<std::string> received;
@@ -312,6 +315,141 @@ TEST(ConsumerEdgeTest, PipelinedFetchPreservesPerGroupChunkOrder) {
     }
     EXPECT_GT(last_chunk.size(), 2u);  // several groups were actually read
   }
+}
+
+TEST(ConsumerEdgeTest, TailingConsumerRarelyGetsEmptyResponses) {
+  // A consumer tailing a live stream sees responses far below its byte
+  // budget, so it keeps one long-poll per broker, which returns as soon
+  // as data is durable: nearly every response carries data. (Bursting
+  // wait-0 fetches after each response would come back mostly empty.)
+  MiniCluster cluster(SmallConfig());
+  rpc::StreamOptions opts;
+  opts.num_streamlets = 4;
+  opts.replication_factor = 2;
+  ASSERT_TRUE(cluster.coordinator().CreateStream("s", opts).ok());
+  ConsumerConfig cc;
+  cc.stream = "s";
+  // Pace only by data: no long-poll times out between two records.
+  cc.fetch_max_wait_us = 1'000'000;
+  Consumer consumer(cc, cluster.network());
+  ASSERT_TRUE(consumer.Connect().ok());
+
+  constexpr int kRecords = 1500;
+  std::thread writer([&] {
+    ProducerConfig pc;
+    pc.stream = "s";
+    pc.chunk_size = 1 << 10;
+    pc.linger_us = 500;
+    Producer producer(pc, cluster.network());
+    ASSERT_TRUE(producer.Connect().ok());
+    for (int i = 0; i < kRecords; ++i) {
+      ASSERT_TRUE(producer.Send(AsBytes("t" + std::to_string(i))).ok());
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+    ASSERT_TRUE(producer.Close().ok());
+  });
+  std::multiset<std::string> received;
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (received.size() < kRecords &&
+         std::chrono::steady_clock::now() < deadline) {
+    for (auto& rec : consumer.PollBlocking(128)) {
+      received.emplace(reinterpret_cast<const char*>(rec.value.data()),
+                       rec.value.size());
+    }
+  }
+  writer.join();
+  auto stats = consumer.GetStats();
+  consumer.Close();
+  ASSERT_EQ(received.size(), size_t(kRecords));
+  ASSERT_GE(stats.requests_sent, 20u);  // it really tailed in many fetches
+  EXPECT_LE(stats.empty_responses * 20, stats.requests_sent)
+      << stats.empty_responses << " empty of " << stats.requests_sent;
+}
+
+/// Counts consume requests in flight per broker, from issue until the
+/// consumer collects the response: the returned future is deferred, so
+/// it completes on the consumer's own get().
+class InFlightCountingNetwork final : public rpc::Network {
+ public:
+  explicit InFlightCountingNetwork(rpc::Network& inner) : inner_(inner) {}
+
+  Result<std::vector<std::byte>> Call(
+      NodeId to, std::span<const std::byte> request) override {
+    return inner_.Call(to, request);
+  }
+  std::future<Result<std::vector<std::byte>>> CallAsync(
+      NodeId to, std::span<const std::byte> request) override {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      max_in_flight_ = std::max(max_in_flight_, ++in_flight_[to]);
+    }
+    return std::async(
+        std::launch::deferred,
+        [this, to, inner = inner_.CallAsync(to, request)]() mutable {
+          auto result = inner.get();
+          std::lock_guard<std::mutex> lock(mu_);
+          --in_flight_[to];
+          return result;
+        });
+  }
+
+  [[nodiscard]] int max_in_flight() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return max_in_flight_;
+  }
+
+ private:
+  rpc::Network& inner_;
+  mutable std::mutex mu_;
+  std::map<NodeId, int> in_flight_;
+  int max_in_flight_ = 0;
+};
+
+TEST(ConsumerEdgeTest, BacklogReadKeepsRequestsInFlight) {
+  // Reading history from offset 0 fills every response's byte budget, so
+  // the fetch worker keeps several requests in flight to its broker.
+  MiniClusterConfig cfg = SmallConfig();
+  cfg.nodes = 1;
+  MiniCluster cluster(cfg);
+  rpc::StreamOptions opts;
+  opts.num_streamlets = 4;
+  opts.replication_factor = 1;
+  ASSERT_TRUE(cluster.coordinator().CreateStream("s", opts).ok());
+  ProducerConfig pc;
+  pc.stream = "s";
+  pc.chunk_size = 1 << 10;
+  Producer producer(pc, cluster.network());
+  ASSERT_TRUE(producer.Connect().ok());
+  constexpr int kRecords = 4000;
+  for (int i = 0; i < kRecords; ++i) {
+    ASSERT_TRUE(
+        producer.Send(AsBytes("b" + std::to_string(i) + std::string(150, 'k')))
+            .ok());
+  }
+  ASSERT_TRUE(producer.Close().ok());
+
+  InFlightCountingNetwork counting(cluster.network());
+  ConsumerConfig cc;
+  cc.stream = "s";
+  cc.fetch_pipeline_depth = 4;
+  Consumer consumer(cc, counting);
+  ASSERT_TRUE(consumer.Connect().ok());
+  std::multiset<std::string> received;
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (received.size() < kRecords &&
+         std::chrono::steady_clock::now() < deadline) {
+    for (auto& rec : consumer.PollBlocking(512)) {
+      received.emplace(reinterpret_cast<const char*>(rec.value.data()),
+                       rec.value.size());
+    }
+  }
+  consumer.Close();
+  ASSERT_EQ(received.size(), size_t(kRecords));
+  for (int i = 0; i < kRecords; ++i) {
+    ASSERT_EQ(received.count("b" + std::to_string(i) + std::string(150, 'k')),
+              1u);
+  }
+  EXPECT_GT(counting.max_in_flight(), 1);
 }
 
 TEST(ConsumerEdgeTest, LongPollEliminatesIdleEmptyResponses) {

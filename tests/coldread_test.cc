@@ -12,8 +12,8 @@
 //     zero-copy spans pins its segments, eviction skips them (second
 //     chance) until the response is destroyed, and the spans stay valid
 //     the whole time (ASan would flag any use-after-free here);
-//   - a broker crash deletes its spill tree; recovery rebuilds from the
-//     backups as if tiering never existed;
+//   - a broker crash stops its spilling and deletes its spill tree;
+//     recovery rebuilds from the backups as if tiering never existed;
 //   - counters: spill/evict/cold-read/readahead stats surface through
 //     Broker::Stats and MiniCluster::TotalBrokerStats, and the sealed
 //     resident footprint respects the budget;
@@ -360,6 +360,27 @@ TEST(ColdReadLifetime, InFlightResponsePinsSegmentAgainstEviction) {
 }
 
 // ------------------------------------------------------------ crash path
+
+TEST(ColdReadCrash, CrashedBrokerNeverWritesIntoItsDeletedSpillTree) {
+  // A budget far above the data: segments spill at seal but are never
+  // evicted, so no eviction forces their spill records to disk before the
+  // group-commit interval, and the crash lands with records still queued.
+  TieredCluster tc(/*budget=*/1 << 20, "crashq");
+  for (int i = 0; i < 12; ++i) {
+    tc.Produce(1, ChunkSeq(i + 1), RecordValue(i));
+  }
+  ASSERT_GT(tc.cluster->broker(tc.leader).GetStats().segments_spilled, 0u);
+  ASSERT_EQ(tc.cluster->broker(tc.leader).GetStats().segments_evicted, 0u);
+
+  testing::internal::CaptureStderr();
+  tc.cluster->CrashNode(tc.leader);
+  // Well past the spill log's group-commit interval (2 ms): a flusher
+  // still running would have tried to write by now.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_EQ(err.find("[ERROR"), std::string::npos) << err;
+  EXPECT_FALSE(std::filesystem::exists(tc.cluster->SpillDirFor(tc.leader)));
+}
 
 TEST(ColdReadCrash, CrashDeletesSpillLogAndRecoversFromBackups) {
   TieredCluster tc(/*budget=*/8 << 10, "crash");

@@ -8,6 +8,7 @@
 #include <string>
 #include <thread>
 
+#include "client/consumer.h"
 #include "cluster/mini_cluster.h"
 #include "wire/chunk.h"
 
@@ -16,6 +17,18 @@ namespace {
 
 std::span<const std::byte> AsBytes(const std::string& s) {
   return {reinterpret_cast<const std::byte*>(s.data()), s.size()};
+}
+
+// Waits (at most 2 s) until `broker` has parked a long-poll. Producing
+// after a fixed sleep instead raced a late thread start on a loaded host:
+// the poll then found the data at once and never parked.
+void WaitForParkedPoll(Broker& broker) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  while (broker.GetStats().consume_long_polls == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
 }
 
 class ConsumeProtocolTest : public ::testing::Test {
@@ -131,6 +144,55 @@ TEST_F(ConsumeProtocolTest, ByteBudgetSharedAcrossEntries) {
   EXPECT_LE(total, uint64_t(groups) + 1);  // budget curbed the fan-out
 }
 
+TEST_F(ConsumeProtocolTest, BackloggedEntriesShareTheBudgetEvenly) {
+  // Six ~570 B chunks in each of two groups (one 4 KiB segment each).
+  for (int i = 1; i <= 6; ++i) {
+    Produce(1, ChunkSeq(i), std::string(500, 'x'));
+    Produce(2, ChunkSeq(i), std::string(500, 'y'));
+  }
+  const uint32_t budget = 2400;  // room for four chunks in all
+  auto resp = Consume({{.streamlet = 0, .group = 0, .start_chunk = 0,
+                        .max_chunks = UINT32_MAX},
+                       {.streamlet = 0, .group = 1, .start_chunk = 0,
+                        .max_chunks = UINT32_MAX}},
+                      budget);
+  ASSERT_EQ(resp.status, StatusCode::kOk);
+  ASSERT_EQ(resp.entries.size(), 2u);
+  size_t bytes[2] = {0, 0};
+  for (int e = 0; e < 2; ++e) {
+    for (const auto& c : resp.entries[e].chunks) bytes[e] += c.size();
+  }
+  // Each entry gets half: the first no longer takes the whole budget.
+  EXPECT_EQ(resp.entries[0].chunks.size(), 2u);
+  EXPECT_EQ(resp.entries[1].chunks.size(), 2u);
+  EXPECT_LE(bytes[0], budget / 2);
+  EXPECT_LE(bytes[0] + bytes[1], budget);
+}
+
+TEST_F(ConsumeProtocolTest, SmallChunksFillTheByteBudgetNotAChunkCount) {
+  // Twelve small chunks per group: a consumer reads each group in ONE
+  // response, because only bytes size a fetch (no per-entry chunk cap).
+  for (int i = 1; i <= 12; ++i) {
+    Produce(1, ChunkSeq(i), "s1-" + std::to_string(i));
+    Produce(2, ChunkSeq(i), "s0-" + std::to_string(i));
+  }
+  ConsumerConfig cc;
+  cc.stream = "cp";
+  Consumer consumer(cc, cluster_->network());
+  ASSERT_TRUE(consumer.Connect().ok());
+  size_t received = 0;
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (received < 24 && std::chrono::steady_clock::now() < deadline) {
+    received += consumer.PollBlocking(64).size();
+  }
+  consumer.Close();  // settles the parked long-poll that followed
+  auto stats = consumer.GetStats();
+  ASSERT_EQ(received, 24u);
+  EXPECT_EQ(stats.chunks_received, 24u);
+  // One response per group, each carrying all twelve of its chunks.
+  EXPECT_EQ(stats.requests_sent - stats.empty_responses, 2u);
+}
+
 TEST_F(ConsumeProtocolTest, SealedFlagPropagatesOnEveryEntry) {
   Produce(1, 1, "pre");
   ASSERT_TRUE(cluster_->coordinator().SealStream("cp").ok());
@@ -221,7 +283,7 @@ TEST_F(ConsumeProtocolTest, LongPollWakesWhenDataTurnsDurable) {
   auto start = std::chrono::steady_clock::now();
   std::thread waiter(
       [&] { resp = cluster_->broker(leader_).HandleConsume(req); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  WaitForParkedPoll(cluster_->broker(leader_));
   Produce(2, 1, "wakes the long-poller");
   waiter.join();
   auto elapsed = std::chrono::steady_clock::now() - start;
@@ -259,7 +321,7 @@ TEST(ConsumeLongPollUnreplicatedTest, ProduceWakesParkedLongPollWithR1) {
   auto start = std::chrono::steady_clock::now();
   std::thread waiter(
       [&] { resp = cluster->broker(leader).HandleConsume(req); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  WaitForParkedPoll(cluster->broker(leader));
 
   ChunkBuilder b(1024);
   b.Start(info->stream, 0, /*producer=*/1);

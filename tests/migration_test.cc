@@ -7,6 +7,7 @@
 
 #include <string>
 
+#include "client/producer.h"
 #include "cluster/mini_cluster.h"
 #include "wire/chunk.h"
 
@@ -138,6 +139,49 @@ TEST_F(MigrationTest, OldLeaderRejectsAppendsAfterMigration) {
   // Stale consumers can still read the durable prefix from the old copy.
   auto old_values = ReadAll(info.stream, 0, old_leader);
   EXPECT_EQ(old_values.size(), 1u);
+}
+
+TEST_F(MigrationTest, ProducerSendsToTheNewLeaderAfterOneRetry) {
+  auto info = MakeStream(1, 2);
+  ProducerConfig pc;
+  pc.producer_id = 7;
+  pc.stream = "m";
+  Producer producer(pc, cluster_->network());
+  ASSERT_TRUE(producer.Connect().ok());
+  auto send_round = [&](int round) {
+    for (int i = 0; i < 5; ++i) {
+      ASSERT_TRUE(producer
+                      .Send(AsBytes("r" + std::to_string(round) + "-" +
+                                    std::to_string(i)))
+                      .ok());
+    }
+    ASSERT_TRUE(producer.Flush().ok());
+  };
+  send_round(0);
+  const NodeId old_leader = info.streamlet_brokers[0];
+  const NodeId target = old_leader % 4 + 1;
+  ASSERT_TRUE(cluster_->coordinator().MigrateStreamlet("m", 0, target).ok());
+
+  // The first request after the move fails at the old leader once and
+  // re-resolves the leaders...
+  send_round(1);
+  const auto moved = producer.GetStats();
+  EXPECT_EQ(moved.retry_repartitions, 1u);
+  const uint64_t old_rpcs =
+      cluster_->broker(old_leader).GetStats().produce_rpcs;
+
+  // ...and every later request goes straight to the new leader.
+  for (int round = 2; round < 6; ++round) send_round(round);
+  const auto stats = producer.GetStats();
+  EXPECT_EQ(stats.retry_repartitions, moved.retry_repartitions);
+  EXPECT_EQ(stats.request_failures, 0u);
+  EXPECT_EQ(cluster_->broker(old_leader).GetStats().produce_rpcs, old_rpcs);
+  ASSERT_TRUE(producer.Close().ok());
+
+  auto values = ReadAll(info.stream, 0, target);
+  ASSERT_EQ(values.size(), 30u);
+  EXPECT_EQ(values.front(), "r0-0");
+  EXPECT_EQ(values.back(), "r5-4");
 }
 
 TEST_F(MigrationTest, MigrationToSelfIsNoOp) {
