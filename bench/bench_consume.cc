@@ -2,8 +2,7 @@
 // Poll latency against a real MiniCluster, varying the fetch pipeline
 // depth (consume requests in flight per broker), the broker count and the
 // chunk size, on both the Direct (inline) and Socket (loopback TCP)
-// transports; plus the idle-stream RPC rate with and without broker
-// long-poll.
+// transports; plus the idle-stream RPC rate under broker long-poll.
 //
 //   ./bench_consume --benchmark_out=BENCH_consume.json \
 //                   --benchmark_out_format=json
@@ -142,12 +141,10 @@ BENCHMARK(BM_ConsumeThroughput)
 // the consumer tails. Reported: end-to-end delivery latency quantiles
 // (produce -> Poll) and the RPC counts. Each broker has its own fetch
 // worker, so an idle broker's long-poll parks only that broker's worker
-// while another broker has data. wait_us=0 disables long-poll
-// (idle-backoff polling: decent latency, an RPC flood).
+// while another broker has data.
 void BM_TailLatency(benchmark::State& state) {
   const bool socket = state.range(0) != 0;
   const uint32_t depth = uint32_t(state.range(1));
-  const uint64_t wait_us = uint64_t(state.range(2));
   constexpr uint32_t kBrokers = 4;
   constexpr int kTailRecords = 250;
 
@@ -164,7 +161,6 @@ void BM_TailLatency(benchmark::State& state) {
     ConsumerConfig cc;
     cc.stream = "bench";
     cc.fetch_pipeline_depth = depth;
-    cc.fetch_max_wait_us = wait_us;
     Consumer consumer(cc, cluster->network());
     if (!consumer.Connect().ok()) {
       state.SkipWithError("consumer connect failed");
@@ -220,15 +216,14 @@ void BM_TailLatency(benchmark::State& state) {
   state.counters["empty_responses"] = double(empties);
 }
 BENCHMARK(BM_TailLatency)
-    ->ArgsProduct({{0, 1}, {1, 4}, {0, 50'000}})
-    ->ArgNames({"socket", "depth", "wait_us"})
+    ->ArgsProduct({{0, 1}, {1, 4}})
+    ->ArgNames({"socket", "depth"})
     ->Iterations(1)
     ->Unit(benchmark::kMillisecond);
 
-// An idle consumer for 300 ms: with long-poll the fetch parks at the
-// broker (a handful of RPCs); without it the client spins empty rounds.
+// An idle consumer for 300 ms: its fetch parks at the broker, so the
+// whole window costs a handful of RPCs.
 void BM_IdleStreamRpcs(benchmark::State& state) {
-  const uint64_t wait_us = uint64_t(state.range(0));
   uint64_t requests = 0, empties = 0, parked = 0;
   for (auto _ : state) {
     auto cluster = MakeCluster(/*socket=*/false, /*brokers=*/1);
@@ -240,7 +235,6 @@ void BM_IdleStreamRpcs(benchmark::State& state) {
     }
     ConsumerConfig cc;
     cc.stream = "bench";
-    cc.fetch_max_wait_us = wait_us;
     Consumer consumer(cc, cluster->network());
     if (!consumer.Connect().ok()) {
       state.SkipWithError("consumer connect failed");
@@ -258,9 +252,6 @@ void BM_IdleStreamRpcs(benchmark::State& state) {
   state.counters["long_polls"] = double(parked);
 }
 BENCHMARK(BM_IdleStreamRpcs)
-    ->Arg(0)
-    ->Arg(100'000)
-    ->ArgNames({"wait_us"})
     ->Iterations(1)
     ->Unit(benchmark::kMillisecond);
 

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Full local check: regular build + all tests, a ThreadSanitizer build
 # running the concurrency-sensitive suites (virtual log windowed
-# replication, produce handlers sharing a replication window), an
-# ASan+UBSan build running the wire/rpc suites (the scatter-gather encode
-# path references external buffers; sanitizers catch lifetime mistakes),
+# replication, produce handlers sharing a replication window, and the
+# MiniCluster suites that run on the socket reactor), an ASan+UBSan build
+# running the wire/rpc suites (the scatter-gather encode path references
+# external buffers; sanitizers catch lifetime mistakes),
 # the micro-benchmarks emitting machine-readable JSON, and the tests of
 # the end-to-end socket benchmark (perfbench/).
 #
@@ -20,16 +21,20 @@ cmake -B "$build" -S "$repo" -DCMAKE_BUILD_TYPE=Release
 cmake --build "$build" -j
 ctest --test-dir "$build" --output-on-failure -j "$(nproc)"
 
-echo "== ThreadSanitizer build (vlog + broker + client + consume suites) =="
+echo "== ThreadSanitizer build (vlog + broker + client + consume + MiniCluster suites) =="
+# Threaded MiniClusters run over SocketNetwork (the only threaded
+# transport), so integration_test and bounded_stream_test drive the
+# socket reactor, worker pools and recovery threads under TSan.
 cmake -B "$tsan_build" -S "$repo" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-omit-frame-pointer" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
 cmake --build "$tsan_build" -j --target \
   vlog_test vlog_property_test broker_test client_test client_edge_test \
-  consume_protocol_test transport_test exactly_once_test
+  consume_protocol_test transport_test exactly_once_test integration_test \
+  bounded_stream_test
 for t in vlog_test vlog_property_test broker_test client_test \
          client_edge_test consume_protocol_test transport_test \
-         exactly_once_test; do
+         exactly_once_test integration_test bounded_stream_test; do
   echo "-- TSan: $t"
   "$tsan_build/tests/$t"
 done

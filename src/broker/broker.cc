@@ -518,10 +518,10 @@ Status Broker::AppendOneChunk(
   return OkStatus();
 }
 
-rpc::ProduceResponse Broker::HandleProduceNoSync(
+Broker::StreamEntry* Broker::AppendRequest(
     const rpc::ProduceRequest& req,
-    std::vector<std::pair<VirtualLog*, ChunkRef>>* appended) {
-  rpc::ProduceResponse resp;
+    std::vector<std::pair<VirtualLog*, ChunkRef>>& positions,
+    std::vector<DuplicateWait>& duplicate_waits, rpc::ProduceResponse& resp) {
   Bump(stats_.produce_rpcs);
   if (req.recovery) {
     Bump(stats_.recovery_produce_rpcs);
@@ -529,23 +529,31 @@ rpc::ProduceResponse Broker::HandleProduceNoSync(
   StreamEntry* entry = FindStream(req.stream);
   if (entry == nullptr) {
     resp.status = StatusCode::kNotFound;
-    return resp;
+    return nullptr;
   }
   const uint32_t home = HomeShardOf(req);
   EnterShardFrame(home);
-  std::vector<std::pair<VirtualLog*, ChunkRef>> positions;
   positions.reserve(req.chunks.size());
+  for (const auto& frame : req.chunks) {
+    Status s = AppendOneChunk(*entry, req, frame, home, positions,
+                              duplicate_waits, resp);
+    if (!s.ok()) {
+      resp.status = s.code();
+      return nullptr;
+    }
+  }
+  return entry;
+}
+
+rpc::ProduceResponse Broker::HandleProduceNoSync(
+    const rpc::ProduceRequest& req,
+    std::vector<std::pair<VirtualLog*, ChunkRef>>* appended) {
+  rpc::ProduceResponse resp;
+  std::vector<std::pair<VirtualLog*, ChunkRef>> positions;
   // Duplicate-durability waits are not driven here: the DES schedules
   // replication on simulated time and gates acks itself.
   std::vector<DuplicateWait> dup_waits;
-  for (const auto& frame : req.chunks) {
-    Status s =
-        AppendOneChunk(*entry, req, frame, home, positions, dup_waits, resp);
-    if (!s.ok()) {
-      resp.status = s.code();
-      return resp;
-    }
-  }
+  if (AppendRequest(req, positions, dup_waits, resp) == nullptr) return resp;
   if (appended != nullptr) {
     appended->insert(appended->end(), positions.begin(), positions.end());
   }
@@ -567,29 +575,10 @@ rpc::ProduceResponse Broker::HandleProduceNoSync(
 
 rpc::ProduceResponse Broker::HandleProduce(const rpc::ProduceRequest& req) {
   rpc::ProduceResponse resp;
-  Bump(stats_.produce_rpcs);
-  if (req.recovery) {
-    Bump(stats_.recovery_produce_rpcs);
-  }
-  StreamEntry* entry = FindStream(req.stream);
-  if (entry == nullptr) {
-    resp.status = StatusCode::kNotFound;
-    return resp;
-  }
-  const uint32_t home = HomeShardOf(req);
-  EnterShardFrame(home);
-
   std::vector<std::pair<VirtualLog*, ChunkRef>> positions;
-  positions.reserve(req.chunks.size());
   std::vector<DuplicateWait> dup_waits;
-  for (const auto& frame : req.chunks) {
-    Status s =
-        AppendOneChunk(*entry, req, frame, home, positions, dup_waits, resp);
-    if (!s.ok()) {
-      resp.status = s.code();
-      return resp;
-    }
-  }
+  StreamEntry* entry = AppendRequest(req, positions, dup_waits, resp);
+  if (entry == nullptr) return resp;
 
   // Shards whose streamlets this request appended to (usually exactly
   // {home}); parked long-polls on those shards are notified at the end.

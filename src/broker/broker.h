@@ -467,6 +467,16 @@ class Broker final : public rpc::RpcHandler {
                         std::vector<DuplicateWait>& duplicate_waits,
                         rpc::ProduceResponse& resp);
 
+  /// The produce handlers' shared front half: counts the RPC, resolves the
+  /// stream, enters its home shard's frame and appends every chunk
+  /// (AppendOneChunk). Returns the stream, or nullptr with resp.status set
+  /// when the stream is unknown or a chunk fails.
+  StreamEntry* AppendRequest(
+      const rpc::ProduceRequest& req,
+      std::vector<std::pair<VirtualLog*, ChunkRef>>& positions,
+      std::vector<DuplicateWait>& duplicate_waits,
+      rpc::ProduceResponse& resp);
+
   /// Synchronous-replication drive loop: polls and ships `vlog`'s batches
   /// on the calling thread until `ref` is durable (only ref.group and
   /// ref.loc.group_chunk_index are consulted), tolerating a bounded number

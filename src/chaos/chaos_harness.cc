@@ -174,14 +174,8 @@ class Harness {
       cfg.broker.cold_cache_bytes = 4 * cfg.broker.segment_size;
       cfg.broker.readahead_segments = 2;
     }
+    cfg.external_direct = &direct_;
     cfg.external_network = &net_;
-    cfg.external_register = [this](NodeId n, rpc::RpcHandler* h) {
-      net_.Register(n, h);
-    };
-    cfg.external_crash = [this](NodeId n) { net_.Crash(n); };
-    cfg.external_restore = [this](NodeId n, rpc::RpcHandler* h) {
-      net_.Restore(n, h);
-    };
     cluster_ = std::make_unique<MiniCluster>(cfg);
 
     producers_.resize(sched_.producers);

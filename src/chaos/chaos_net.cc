@@ -5,18 +5,8 @@
 
 namespace kera::chaos {
 
-ChaosNetwork::ChaosNetwork(rpc::DirectNetwork& inner, uint64_t seed)
+ChaosNetwork::ChaosNetwork(rpc::Network& inner, uint64_t seed)
     : inner_(inner), rng_(seed) {}
-
-void ChaosNetwork::Register(NodeId node, rpc::RpcHandler* handler) {
-  inner_.Register(node, handler);
-}
-
-void ChaosNetwork::Crash(NodeId node) { inner_.Crash(node); }
-
-void ChaosNetwork::Restore(NodeId node, rpc::RpcHandler* handler) {
-  inner_.Restore(node, handler);
-}
 
 void ChaosNetwork::SetEdgePolicy(NodeId to, const EdgePolicy& policy) {
   std::lock_guard<std::mutex> lock(mu_);

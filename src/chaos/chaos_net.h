@@ -1,9 +1,9 @@
-// ChaosNetwork: the chaos harness's network decorator. Extends the
-// FlakyNetwork idea with per-edge fault policies (per destination service:
-// request/response drops, request duplication, bounded delays), hard
-// partitions, a virtual clock advanced by the injected delays, and held
-// duplicate frames that can be re-delivered late and shuffled — the
-// deterministic stand-in for reordered retransmissions.
+// ChaosNetwork: the one fault-injecting network decorator, used by the
+// chaos harness and the failure tests. Per-edge fault policies (per
+// destination service: request/response drops, request duplication,
+// bounded delays), hard partitions, a virtual clock advanced by the
+// injected delays, and held duplicate frames that can be re-delivered late
+// and shuffled — the deterministic stand-in for reordered retransmissions.
 //
 // Determinism contract: all fault coins come from one seeded Xoshiro256
 // drawn in call-issue order under a single lock, so a single-threaded
@@ -36,12 +36,10 @@ class ChaosNetwork final : public rpc::Network {
     uint64_t max_delay_us = 0;      // virtual-clock delay drawn in [0, max]
   };
 
-  ChaosNetwork(rpc::DirectNetwork& inner, uint64_t seed);
-
-  // Registration passthrough (MiniCluster external-network hooks).
-  void Register(NodeId node, rpc::RpcHandler* handler);
-  void Crash(NodeId node);
-  void Restore(NodeId node, rpc::RpcHandler* handler);
+  /// Decorates `inner`, which keeps its own registration and crash state.
+  /// Every call resolves synchronously through inner.Call, so the fault
+  /// coins are drawn in issue order.
+  ChaosNetwork(rpc::Network& inner, uint64_t seed);
 
   /// Installs the fault policy for calls addressed to `to` (replaces any
   /// previous policy for that edge).
@@ -121,7 +119,7 @@ class ChaosNetwork final : public rpc::Network {
                  Status& error);
   void AdvanceClockLocked(uint64_t delta_us, uint64_t& now_out);
 
-  rpc::DirectNetwork& inner_;
+  rpc::Network& inner_;
   mutable std::mutex mu_;
   Xoshiro256 rng_;
   std::map<NodeId, EdgePolicy> policies_;

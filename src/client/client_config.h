@@ -57,10 +57,6 @@ struct ConsumerConfig {
   /// fills at least half of it shows a backlog and keeps the fetch
   /// pipeline open.
   uint32_t max_bytes_per_request = 64u << 10;
-  /// Idle backoff when no data is available (microseconds). Only used
-  /// when long-poll is disabled (fetch_max_wait_us == 0) or a broker is
-  /// unreachable; with long-poll the broker paces the consumer.
-  uint64_t idle_backoff_us = 200;
   /// Consume RPCs kept in flight per broker while it has a backlog. Each
   /// broker has its own fetch worker, which stripes the broker's active
   /// groups over up to this many concurrent requests, so fetch overlaps
@@ -75,14 +71,11 @@ struct ConsumerConfig {
   /// requests may overshoot by up to fetch_pipeline_depth *
   /// max_bytes_per_request.
   size_t fetch_buffer_bytes = 8u << 20;
-  /// Long-poll: fetches without a backlog ask the broker to park the
-  /// request until data is durable (or this wait elapses) instead of
-  /// returning empty.
-  /// 0 restores immediate-return polling with idle_backoff_us sleeps.
+  /// Long-poll, the consumer's only idle mode: fetches without a backlog
+  /// ask the broker to park the request until data is durable (or this
+  /// wait elapses) instead of returning empty. Must be > 0 (Connect
+  /// rejects 0).
   uint64_t fetch_max_wait_us = 50'000;
-  /// Minimum bytes a long-polled fetch waits for before returning (the
-  /// broker returns earlier on group rollover, seal, or timeout).
-  uint32_t fetch_min_bytes = 1;
   /// Stable consumer identity for durable offset commits; combined with
   /// the top bit into a system producer id (0x80000000 | consumer_id)
   /// under which commit chunks are sequenced and deduplicated.

@@ -24,6 +24,14 @@ constexpr uint32_t kNoChunkLimit = std::numeric_limits<uint32_t>::max();
 /// Slice for waiting on in-flight futures: short enough that Close()
 /// returns promptly even while a long-poll is parked at the broker.
 constexpr auto kFutureSlice = std::chrono::milliseconds(2);
+
+/// A long-polled fetch returns as soon as any chunk data is durable (or
+/// on group rollover, seal or timeout).
+constexpr uint32_t kFetchMinBytes = 1;
+
+/// Pause before the next round when a broker is unreachable or every
+/// cursor is busy; an idle-but-reachable broker is paced by long-poll.
+constexpr auto kIdleBackoff = std::chrono::microseconds(200);
 }  // namespace
 
 // ----- FetchBuffer ---------------------------------------------------------
@@ -110,6 +118,12 @@ Status Consumer::Connect() {
   if (config_.fetch_pipeline_depth == 0) {
     return Status(StatusCode::kInvalidArgument,
                   "fetch_pipeline_depth must be >= 1");
+  }
+  if (config_.fetch_max_wait_us == 0) {
+    // Long-poll is the only idle mode: a zero wait would spin empty
+    // fetches against an idle broker.
+    return Status(StatusCode::kInvalidArgument,
+                  "fetch_max_wait_us must be > 0");
   }
   if (config_.exactly_once && config_.share_count > 1) {
     // The committed cursor is a single per-streamlet position; group
@@ -387,9 +401,8 @@ void Consumer::BrokerFetchLoop(NodeId broker,
     size_t slots = depth > inflight.size() ? depth - inflight.size() : 0;
     size_t nreq = 0;
     if (!avail.empty() && slots > 0) {
-      nreq = !backlog && config_.fetch_max_wait_us > 0
-                 ? (inflight.empty() ? 1 : 0)
-                 : std::min(slots, avail.size());
+      nreq = backlog ? std::min(slots, avail.size())
+                     : (inflight.empty() ? 1 : 0);
     }
     for (size_t rq = 0; rq < nreq; ++rq) {
       // Flow control: pause this broker's prefetch until Poll drains.
@@ -401,7 +414,7 @@ void Consumer::BrokerFetchLoop(NodeId broker,
       req.max_bytes = config_.max_bytes_per_request;
       if (!backlog) {
         req.max_wait_us = config_.fetch_max_wait_us;
-        req.min_bytes = config_.fetch_min_bytes;
+        req.min_bytes = kFetchMinBytes;
       }
       InFlight inf;
       // Contiguous block per request (avail is ordered by streamlet):
@@ -431,8 +444,7 @@ void Consumer::BrokerFetchLoop(NodeId broker,
 
     if (inflight.empty()) {
       // Every cursor is done or momentarily unavailable; don't spin.
-      std::this_thread::sleep_for(
-          std::chrono::microseconds(config_.idle_backoff_us));
+      std::this_thread::sleep_for(kIdleBackoff);
       continue;
     }
 
@@ -458,16 +470,11 @@ void Consumer::BrokerFetchLoop(NodeId broker,
     if (!raw.ok()) {
       // Broker unreachable (or response dropped): back off, then the next
       // round re-issues the released cursors.
-      std::this_thread::sleep_for(
-          std::chrono::microseconds(config_.idle_backoff_us));
+      std::this_thread::sleep_for(kIdleBackoff);
       continue;
     }
     const size_t delivered = ProcessResponse(broker, std::move(*raw));
     backlog = delivered > 0 && 2 * delivered >= config_.max_bytes_per_request;
-    if (delivered == 0 && config_.fetch_max_wait_us == 0) {
-      std::this_thread::sleep_for(
-          std::chrono::microseconds(config_.idle_backoff_us));
-    }
   }
 }
 

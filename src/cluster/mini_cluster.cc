@@ -1,6 +1,5 @@
 #include "cluster/mini_cluster.h"
 
-#include <cstdlib>
 #include <filesystem>
 #include <system_error>
 
@@ -24,9 +23,9 @@ BrokerConfig MiniCluster::BrokerConfigFor(NodeId node) const {
   bc.incarnation = incarnations_[node - 1];
   bc.spill_dir = SpillDirFor(node);
   // Prefetch threads only where the transport is already nondeterministic;
-  // Direct and external (DES/chaos) networks keep readahead inline so the
-  // cold-cache state is a pure function of the schedule.
-  bc.async_readahead = threaded_ != nullptr || socket_ != nullptr;
+  // Direct networks (owned, or the DES/chaos harness's) keep readahead
+  // inline so the cold-cache state is a pure function of the schedule.
+  bc.async_readahead = socket_ != nullptr;
   bc.backup_nodes.clear();
   for (NodeId n = 1; n <= config_.nodes; ++n) {
     bc.backup_nodes.push_back(BackupServiceId(n));
@@ -58,11 +57,7 @@ std::string MiniCluster::SpillDirFor(NodeId node) const {
 }
 
 void MiniCluster::RegisterOnNetwork(NodeId service, rpc::RpcHandler* handler) {
-  if (config_.external_network != nullptr) {
-    config_.external_register(service, handler);
-  } else if (threaded_ != nullptr) {
-    threaded_->Register(service, handler);
-  } else if (socket_ != nullptr) {
+  if (socket_ != nullptr) {
     // Brokers and backups get the shared-nothing reactor shape: one
     // server shard per broker shard, with data-plane frames routed to the
     // shard owning their streamlet (produce/consume) or vlog (replicate).
@@ -83,11 +78,7 @@ void MiniCluster::RegisterOnNetwork(NodeId service, rpc::RpcHandler* handler) {
 }
 
 void MiniCluster::CrashOnNetwork(NodeId service) {
-  if (config_.external_network != nullptr) {
-    config_.external_crash(service);
-  } else if (threaded_ != nullptr) {
-    threaded_->Crash(service);
-  } else if (socket_ != nullptr) {
+  if (socket_ != nullptr) {
     socket_->Crash(service);
   } else {
     direct_->Crash(service);
@@ -95,11 +86,7 @@ void MiniCluster::CrashOnNetwork(NodeId service) {
 }
 
 void MiniCluster::RestoreOnNetwork(NodeId service, rpc::RpcHandler* handler) {
-  if (config_.external_network != nullptr) {
-    config_.external_restore(service, handler);
-  } else if (threaded_ != nullptr) {
-    threaded_->Restore(service, handler);
-  } else if (socket_ != nullptr) {
+  if (socket_ != nullptr) {
     auto port = socket_->Restore(service, handler);
     if (!port.ok()) {
       KERA_ERROR("socket restore failed for node %u: %s", unsigned(service),
@@ -112,45 +99,25 @@ void MiniCluster::RestoreOnNetwork(NodeId service, rpc::RpcHandler* handler) {
 
 MiniCluster::MiniCluster(MiniClusterConfig config)
     : config_(std::move(config)) {
-  // Real recovery threads only where the whole RPC path tolerates
-  // concurrent callers: the Threaded and Socket transports. Direct and
-  // external networks (the DES / chaos harness decorates a DirectNetwork
-  // with single-threaded virtual-clock machinery) stay serial — recovery
-  // models the parallel makespan there instead.
-  bool recovery_threads = false;
-  if (config_.external_network != nullptr) {
+  if (config_.external_direct != nullptr) {
+    direct_ = config_.external_direct;
     network_ = config_.external_network;
+  } else if (config_.transport == MiniClusterTransport::kSocket) {
+    socket_ = std::make_unique<rpc::SocketNetwork>(rpc::SocketNetwork::Options{
+        .workers_per_node = config_.workers_per_node});
+    network_ = socket_.get();
   } else {
-    recovery_threads = config_.transport == MiniClusterTransport::kThreaded ||
-                       config_.transport == MiniClusterTransport::kSocket;
-    switch (config_.transport) {
-      case MiniClusterTransport::kThreaded:
-        if (config_.workers_per_node < 1) {
-          // A threaded network without workers would hang every RPC.
-          KERA_ERROR("MiniCluster: kThreaded needs workers_per_node >= 1");
-          std::abort();
-        }
-        threaded_ =
-            std::make_unique<rpc::ThreadedNetwork>(config_.workers_per_node);
-        network_ = threaded_.get();
-        break;
-      case MiniClusterTransport::kDirect:
-        direct_ = std::make_unique<rpc::DirectNetwork>();
-        network_ = direct_.get();
-        break;
-      case MiniClusterTransport::kSocket: {
-        rpc::SocketNetwork::Options opts;
-        if (config_.workers_per_node > 0) {
-          opts.workers_per_node = config_.workers_per_node;
-        }
-        socket_ = std::make_unique<rpc::SocketNetwork>(opts);
-        network_ = socket_.get();
-        break;
-      }
-    }
+    owned_direct_ = std::make_unique<rpc::DirectNetwork>();
+    direct_ = owned_direct_.get();
+    network_ = direct_;
   }
+  // Real recovery threads only where the whole RPC path tolerates
+  // concurrent callers: the socket transport. Direct networks (the DES /
+  // chaos harness decorates one with single-threaded virtual-clock
+  // machinery) stay serial — recovery models the parallel makespan there
+  // instead.
   CoordinatorConfig cc = config_.coordinator;
-  cc.recovery_use_threads = recovery_threads;
+  cc.recovery_use_threads = socket_ != nullptr;
   coordinator_ = std::make_unique<Coordinator>(*network_, cc);
 
   incarnations_.assign(config_.nodes, 0);
@@ -174,7 +141,6 @@ MiniCluster::~MiniCluster() {
   // shutdown does not block on a handler thread parked until its poll
   // deadline.
   for (auto& b : brokers_) b->StopConsumeWaits();
-  if (threaded_ != nullptr) threaded_->Shutdown();
   if (socket_ != nullptr) socket_->Shutdown();
 }
 
@@ -185,13 +151,13 @@ std::vector<NodeId> MiniCluster::BrokerNodes() const {
 }
 
 void MiniCluster::CrashNode(NodeId node) {
+  // Release parked long-polls first: handler threads already inside
+  // HandleConsume would otherwise sleep until their poll deadline, and the
+  // socket transport's Crash waits for the node's running handlers (a
+  // later restart swaps in a fresh broker whose parking works again).
+  brokers_[node - 1]->StopConsumeWaits();
   CrashOnNetwork(node);
   CrashOnNetwork(BackupServiceId(node));
-  // Fail parked long-polls now: the transport no longer delivers to this
-  // broker, but handler threads already inside HandleConsume would
-  // otherwise sleep until their poll deadline (and a later restart swaps
-  // in a fresh broker whose parking works again).
-  brokers_[node - 1]->StopConsumeWaits();
   // A real crash loses the process-local spill log with the process; the
   // broker's durable data lives on the backups. Delete the node's whole
   // spill tree (all incarnations) so recovery provably never reads it.

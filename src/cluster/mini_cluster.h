@@ -1,10 +1,10 @@
 // MiniCluster: an in-process KerA cluster — one coordinator plus N nodes,
-// each hosting a broker and a backup service — wired over a ThreadedNetwork
-// (dispatch/worker threads per node) or a DirectNetwork (deterministic,
-// single-threaded). Used by integration tests and the examples.
+// each hosting a broker and a backup service — wired over a SocketNetwork
+// (loopback TCP, dispatch/worker threads per node) or a DirectNetwork
+// (deterministic, single-threaded). Used by integration tests and the
+// examples.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -21,8 +21,6 @@ namespace kera {
 enum class MiniClusterTransport {
   /// DirectNetwork: handler runs inline on the caller thread.
   kDirect,
-  /// ThreadedNetwork: in-process queues + worker threads per node.
-  kThreaded,
   /// SocketNetwork: real TCP over loopback, multiplexed framing.
   kSocket,
 };
@@ -39,16 +37,16 @@ inline BrokerConfig MiniClusterBrokerDefaults() {
 
 struct MiniClusterConfig {
   uint32_t nodes = 4;
-  /// Worker threads per node (RPC dispatch). Must be >= 1 for kThreaded;
-  /// kDirect ignores it and kSocket treats 0 as its own default.
+  /// Handler worker threads per node on kSocket
+  /// (SocketNetwork::Options::workers_per_node); kDirect ignores it.
   int workers_per_node = 4;
-  MiniClusterTransport transport = MiniClusterTransport::kThreaded;
+  MiniClusterTransport transport = MiniClusterTransport::kSocket;
 
   /// Component templates, copied for every node. MiniCluster overwrites
   /// only the per-node identity fields: the broker's `node`,
   /// `incarnation`, `backup_nodes` (every node's backup) and
-  /// `async_readahead` (true on kThreaded/kSocket); the backup's `node`;
-  /// the coordinator's `recovery_use_threads` (true on kThreaded/kSocket).
+  /// `async_readahead` (true on kSocket); the backup's `node`; the
+  /// coordinator's `recovery_use_threads` (true on kSocket).
   /// `broker.spill_dir` and `backup.storage_dir` are root directories:
   /// node n's backup log lives in `<storage_dir>/n<n>`, and each broker
   /// incarnation k spills to `<spill_dir>/n<n>/inc<k>`. With
@@ -58,15 +56,14 @@ struct MiniClusterConfig {
   BackupConfig backup;
   CoordinatorConfig coordinator;
 
-  /// External network injection (fault-injection harnesses wrap a
-  /// DirectNetwork in a decorator): when `external_network` is set the
-  /// cluster uses it instead of constructing a transport, and the three
-  /// callbacks implement registration and crash/restore against it. The
-  /// network must outlive the cluster. `transport` is ignored.
+  /// External network injection (the chaos harness wraps a DirectNetwork
+  /// in a fault-injecting decorator): when `external_direct` is set the
+  /// cluster constructs no transport; services register, crash and
+  /// restore on `external_direct`, and every call goes through
+  /// `external_network`. Set both; both must outlive the cluster.
+  /// `transport` is ignored.
+  rpc::DirectNetwork* external_direct = nullptr;
   rpc::Network* external_network = nullptr;
-  std::function<void(NodeId, rpc::RpcHandler*)> external_register;
-  std::function<void(NodeId)> external_crash;
-  std::function<void(NodeId, rpc::RpcHandler*)> external_restore;
 };
 
 class MiniCluster {
@@ -87,8 +84,9 @@ class MiniCluster {
   [[nodiscard]] std::vector<NodeId> BrokerNodes() const;
 
   /// Kills a node (both broker and backup stop answering). Parked consume
-  /// long-polls on the crashed broker are failed immediately rather than
-  /// leaking until their poll deadline. Use coordinator().RecoverNode(node)
+  /// long-polls on the crashed broker are released immediately rather than
+  /// leaking until their poll deadline, and on the socket transport no
+  /// handler of the node still runs when this returns. Use coordinator().RecoverNode(node)
   /// afterwards, then optionally RestartNode to bring the node back.
   void CrashNode(NodeId node);
 
@@ -137,9 +135,11 @@ class MiniCluster {
   void RestoreOnNetwork(NodeId service, rpc::RpcHandler* handler);
 
   MiniClusterConfig config_;
-  std::unique_ptr<rpc::ThreadedNetwork> threaded_;
-  std::unique_ptr<rpc::DirectNetwork> direct_;
   std::unique_ptr<rpc::SocketNetwork> socket_;
+  std::unique_ptr<rpc::DirectNetwork> owned_direct_;
+  /// Where services register when there is no socket_: owned_direct_ or
+  /// the external one.
+  rpc::DirectNetwork* direct_ = nullptr;
   rpc::Network* network_ = nullptr;
   std::unique_ptr<Coordinator> coordinator_;
   std::vector<std::unique_ptr<Broker>> brokers_;

@@ -195,20 +195,17 @@ SocketNetwork::~SocketNetwork() { Shutdown(); }
 
 void SocketNetwork::Shutdown() {
   std::map<NodeId, std::unique_ptr<ServerNode>> nodes;
-  std::vector<std::unique_ptr<ServerNode>> draining;
   {
     std::lock_guard<std::mutex> lock(nodes_mu_);
     if (shutdown_) return;
     shutdown_ = true;
     nodes.swap(nodes_);
-    draining.swap(draining_);
   }
   for (auto& [_, n] : nodes) {
     SignalServerStop(n.get());
     for (auto& shard : n->shards) shard->queue.Shutdown();
   }
-  nodes.clear();     // joins IO + workers per node
-  draining.clear();  // joins leftover workers of crashed nodes
+  nodes.clear();  // joins IO + workers per node
 
   client_stop_.store(true, std::memory_order_release);
   SignalEventFd(client_wake_fd_);
@@ -342,12 +339,19 @@ void SocketNetwork::Crash(NodeId node) {
   for (auto& shard : n->shards) {
     if (shard->io.joinable()) shard->io.join();
   }
-  // Workers may be blocked inside a handler (e.g. a produce waiting on
-  // replication); don't wait for them here — park the node for the final
-  // join at Shutdown. Their responses are dropped.
+  // A crashed machine runs no more code: with stop set, the workers skip
+  // every queued request and only finish the handler they are in (its
+  // response is dropped). Joining them gives the caller a happens-before
+  // edge to destroy the handler (MiniCluster::RestartNode swaps in a
+  // fresh broker). Blocked handlers finish in bounded time — a produce
+  // waiting on replication gets its backups' answer or failure — except a
+  // parked long-poll, which the caller releases before crashing.
   for (auto& shard : n->shards) shard->queue.Shutdown();
+  for (auto& shard : n->shards) {
+    for (auto& w : shard->workers) w.join();
+  }
   std::lock_guard<std::mutex> lock(nodes_mu_);
-  draining_.push_back(std::move(n));
+  crashed_.push_back(std::move(n));
 }
 
 Result<uint16_t> SocketNetwork::Restore(NodeId node, RpcHandler* handler) {
@@ -365,7 +369,7 @@ Result<uint16_t> SocketNetwork::Restore(NodeId node, RpcHandler* handler) {
     }
     // Revive the node with the shape it had before the crash: the same
     // port (so remote peers' routes stay valid), shard count and router.
-    for (auto d = draining_.rbegin(); d != draining_.rend(); ++d) {
+    for (auto d = crashed_.rbegin(); d != crashed_.rend(); ++d) {
       if ((*d)->id == node) {
         opts = (*d)->opts;
         opts.port = (*d)->port;

@@ -1,7 +1,8 @@
 // SocketNetwork: a real TCP transport implementing the Network interface,
-// drop-in for ThreadedNetwork in MiniCluster and the examples — the step
-// from "simulated cluster" to a deployment that can run brokers, backups
-// and clients as separate processes.
+// and the only threaded one: MiniCluster's threaded runs, the examples and
+// the end-to-end benchmark all use it — the step from "simulated cluster"
+// to a deployment that can run brokers, backups and clients as separate
+// processes. (DirectNetwork in rpc/transport.h is the deterministic one.)
 //
 // Wire protocol (both directions, little-endian like the RPC format):
 //
@@ -17,14 +18,14 @@
 // Per registered node: one listening socket plus N per-core *shards*,
 // each a full reactor — an epoll event-loop thread that only moves bytes
 // (accept/read/write, never runs handlers) and a worker pool draining
-// decoded requests — the RAMCloud-style dispatch/worker split the
-// in-process ThreadedNetwork models, multiplied across cores. Accepted
-// connections are spread round-robin over the shards; a registered
-// FrameRouter additionally routes each decoded request frame to the
-// worker pool of the shard that owns the frame's data (by streamlet id),
-// so a shared-nothing handler sees every frame for a streamlet on one
-// shard no matter which connection it arrived on. With shards == 1 (the
-// default) the topology collapses to the original single-reactor node.
+// decoded requests — the RAMCloud-style dispatch/worker split, multiplied
+// across cores. Accepted connections are spread round-robin over the
+// shards; a registered FrameRouter additionally routes each decoded
+// request frame to the worker pool of the shard that owns the frame's
+// data (by streamlet id), so a shared-nothing handler sees every frame for
+// a streamlet on one shard no matter which connection it arrived on. With
+// shards == 1 (the default) the topology collapses to the original
+// single-reactor node.
 // One more epoll thread serves the client side of this instance (all
 // outbound connections). All sockets are TCP_NODELAY; queued frames are
 // flushed with one vectored send (writev-style sendmsg) per flush, so
@@ -114,7 +115,10 @@ class SocketNetwork final : public Network {
   /// Fault injection: closes the node's listener and every accepted
   /// connection. Queued and in-flight requests against it fail with
   /// kUnavailable on the caller side (the connection died), like a real
-  /// machine crash.
+  /// machine crash. Returns once the node runs no more handler code:
+  /// queued requests are dropped and the handlers already running are
+  /// waited for, so the caller may destroy the handler right after. A
+  /// handler that can park (a consume long-poll) must be released first.
   void Crash(NodeId node);
 
   /// Serves a crashed (or never-registered) node again, rebinding the
@@ -264,9 +268,9 @@ class SocketNetwork final : public Network {
   // ----- server side -----
   mutable std::mutex nodes_mu_;
   std::map<NodeId, std::unique_ptr<ServerNode>> nodes_;
-  // Crashed nodes awaiting final worker join (their IO thread is already
-  // joined; workers may still be draining a blocked handler).
-  std::vector<std::unique_ptr<ServerNode>> draining_;
+  // Crashed nodes, all threads joined; Restore reuses their shape (port,
+  // shard count, router).
+  std::vector<std::unique_ptr<ServerNode>> crashed_;
   bool shutdown_ = false;
 
   // ----- client side -----

@@ -1,23 +1,20 @@
 // Transport layer: how RPC frames move between nodes.
 //
-// Deployments:
-//  - DirectNetwork: synchronous in-process dispatch; deterministic, used
-//    by unit tests and by the DES harness (which adds its own timing).
-//  - ThreadedNetwork: RAMCloud-style dispatch/worker threading — each node
-//    has a request queue and a pool of worker threads; callers get
-//    futures. Used by the MiniCluster and the examples.
+// Two implementations:
+//  - DirectNetwork (here): synchronous in-process dispatch; deterministic,
+//    used by unit tests, the DES harness (which adds its own timing) and
+//    the chaos harness (whose ChaosNetwork decorator injects faults).
+//  - SocketNetwork (rpc/socket_transport.h): real TCP with RAMCloud-style
+//    dispatch/worker threading per node; every threaded MiniCluster, the
+//    examples and the end-to-end benchmark run over it.
 #pragma once
 
 #include <atomic>
 #include <future>
 #include <map>
-#include <memory>
-#include <mutex>
 #include <span>
-#include <thread>
 #include <vector>
 
-#include "common/queue.h"
 #include "common/stats.h"
 #include "common/status.h"
 #include "common/types.h"
@@ -106,99 +103,6 @@ class DirectNetwork final : public Network {
   // (the DES harness and tests drive one DirectNetwork from several
   // threads).
   Stats stats_;
-};
-
-/// Fault-injection decorator: fails a configurable fraction of calls with
-/// kUnavailable (before delivery — the request is lost, as with a dropped
-/// TCP connection) or after delivery (the response is lost: the handler
-/// ran but the caller sees a failure, which is how duplicate
-/// retransmissions arise). Deterministic given the seed.
-class FlakyNetwork final : public Network {
- public:
-  struct Options {
-    /// Probability a call is dropped before reaching the handler.
-    double drop_request = 0.0;
-    /// Probability the response is lost after the handler ran.
-    double drop_response = 0.0;
-    uint64_t seed = 1;
-  };
-  FlakyNetwork(Network& inner, Options options);
-
-  Result<std::vector<std::byte>> Call(
-      NodeId to, std::span<const std::byte> request) override;
-  std::future<Result<std::vector<std::byte>>> CallAsync(
-      NodeId to, std::span<const std::byte> request) override;
-  std::future<Result<std::vector<std::byte>>> CallAsyncParts(
-      NodeId to, const BytesRefParts& parts) override;
-
-  struct Stats {
-    uint64_t calls = 0;
-    uint64_t dropped_requests = 0;
-    uint64_t dropped_responses = 0;
-  };
-  [[nodiscard]] Stats GetStats() const;
-
- private:
-  /// Draws the two fault coins for one call (under mu_, so fault patterns
-  /// stay deterministic in issue order given the seed).
-  void DrawCoins(bool& drop_request, bool& drop_response);
-  /// Wraps an in-flight inner future so the response-drop coin is applied
-  /// when the result is consumed, not at issue time.
-  std::future<Result<std::vector<std::byte>>> ApplyResponseCoin(
-      std::future<Result<std::vector<std::byte>>> inner, bool drop_response);
-
-  Network& inner_;
-  const Options options_;
-  mutable std::mutex mu_;
-  uint64_t rng_state_;
-  Stats stats_;
-};
-
-/// Dispatch/worker threaded network: each registered node owns a request
-/// queue and `workers` threads draining it.
-class ThreadedNetwork final : public Network {
- public:
-  explicit ThreadedNetwork(int workers_per_node = 4);
-  ~ThreadedNetwork() override;
-
-  ThreadedNetwork(const ThreadedNetwork&) = delete;
-  ThreadedNetwork& operator=(const ThreadedNetwork&) = delete;
-
-  /// Registers a node and spawns its workers. Refused (no-op) after
-  /// Shutdown — late registration would spawn workers nobody joins.
-  void Register(NodeId node, RpcHandler* handler);
-
-  /// Fault injection: stop serving a node. In-flight requests complete;
-  /// new calls fail with kUnavailable.
-  void Crash(NodeId node);
-
-  /// Fault injection: serve a crashed (or never-registered) node again.
-  void Restore(NodeId node, RpcHandler* handler);
-
-  Result<std::vector<std::byte>> Call(
-      NodeId to, std::span<const std::byte> request) override;
-  std::future<Result<std::vector<std::byte>>> CallAsync(
-      NodeId to, std::span<const std::byte> request) override;
-
-  void Shutdown();
-
- private:
-  struct Work {
-    std::vector<std::byte> request;
-    std::promise<Result<std::vector<std::byte>>> promise;
-  };
-  struct NodeState {
-    // Atomic: Restore() swaps the handler while workers are draining.
-    std::atomic<RpcHandler*> handler{nullptr};
-    BlockingQueue<std::unique_ptr<Work>> queue;
-    std::vector<std::thread> workers;
-    std::atomic<bool> crashed{false};
-  };
-
-  const int workers_per_node_;
-  mutable std::mutex mu_;
-  std::map<NodeId, std::unique_ptr<NodeState>> nodes_;
-  bool shutdown_ = false;
 };
 
 }  // namespace kera::rpc

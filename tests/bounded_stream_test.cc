@@ -92,7 +92,7 @@ TEST(BoundedStreamTest, SealViaRpc) {
 }
 
 TEST(BoundedStreamTest, ConsumerReachesEndOfStream) {
-  MiniCluster cluster(Config(MiniClusterTransport::kThreaded));
+  MiniCluster cluster(Config(MiniClusterTransport::kSocket));
   rpc::StreamOptions opts;
   opts.num_streamlets = 2;
   opts.replication_factor = 2;
@@ -136,7 +136,7 @@ TEST(BoundedStreamTest, ConsumerReachesEndOfStream) {
 }
 
 TEST(BoundedStreamTest, EmptySealedStreamFinishesImmediately) {
-  MiniCluster cluster(Config(MiniClusterTransport::kThreaded));
+  MiniCluster cluster(Config(MiniClusterTransport::kSocket));
   rpc::StreamOptions opts;
   opts.num_streamlets = 4;
   ASSERT_TRUE(cluster.coordinator().CreateStream("empty", opts).ok());

@@ -7,6 +7,7 @@
 
 #include "backup/backup.h"
 #include "broker/broker.h"
+#include "rpc/socket_transport.h"
 #include "rpc/transport.h"
 #include "wire/chunk.h"
 
@@ -289,8 +290,9 @@ TEST_F(BrokerTest, DebugStringSummarizesState) {
 
 // Fixture for concurrent produce handlers sharing a replication window
 // wider than one batch: each handler ships batches of the vlogs it
-// touched while the others park on durability. Uses the threaded network
-// so replication runs truly concurrently with produce and consume.
+// touched while the others park on durability. Backups sit behind a
+// loopback SocketNetwork, so replication runs truly concurrently with
+// produce and consume.
 class WindowedReplicationTest : public ::testing::Test {
  protected:
   WindowedReplicationTest() {
@@ -309,8 +311,8 @@ class WindowedReplicationTest : public ::testing::Test {
         std::make_unique<Backup>(BackupConfig{.node = 2, .storage_dir = ""});
     backup3_ =
         std::make_unique<Backup>(BackupConfig{.node = 3, .storage_dir = ""});
-    net_.Register(BackupServiceId(2), backup2_.get());
-    net_.Register(BackupServiceId(3), backup3_.get());
+    EXPECT_TRUE(net_.Register(BackupServiceId(2), backup2_.get()).ok());
+    EXPECT_TRUE(net_.Register(BackupServiceId(3), backup3_.get()).ok());
   }
 
   ~WindowedReplicationTest() override { net_.Shutdown(); }
@@ -330,7 +332,7 @@ class WindowedReplicationTest : public ::testing::Test {
     return info;
   }
 
-  rpc::ThreadedNetwork net_{2};
+  rpc::SocketNetwork net_{rpc::SocketNetwork::Options{.workers_per_node = 2}};
   std::unique_ptr<Broker> broker_;
   std::unique_ptr<Backup> backup2_;
   std::unique_ptr<Backup> backup3_;

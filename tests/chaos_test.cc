@@ -593,14 +593,8 @@ TEST(ChaosRegression, DuplicateRetryIsNotAckedBeforeDurability) {
   cfg.broker.segment_size = 4 << 10;
   cfg.broker.virtual_segment_capacity = 16 << 10;
   cfg.broker.memory_bytes = 32 << 20;
+  cfg.external_direct = &direct;
   cfg.external_network = &net;
-  cfg.external_register = [&](NodeId n, rpc::RpcHandler* h) {
-    net.Register(n, h);
-  };
-  cfg.external_crash = [&](NodeId n) { net.Crash(n); };
-  cfg.external_restore = [&](NodeId n, rpc::RpcHandler* h) {
-    net.Restore(n, h);
-  };
   MiniCluster cluster(cfg);
 
   rpc::StreamOptions opts;

@@ -13,6 +13,7 @@
 #include <string>
 #include <thread>
 
+#include "chaos/chaos_net.h"
 #include "client/consumer.h"
 #include "client/producer.h"
 #include "cluster/mini_cluster.h"
@@ -100,9 +101,13 @@ TEST(ProducerEdgeTest, RetriesAbsorbFlakyTransport) {
   MiniClusterConfig cfg = SmallConfig();
   cfg.transport = MiniClusterTransport::kDirect;  // under the flaky decorator
   MiniCluster cluster(cfg);
-  rpc::FlakyNetwork flaky(cluster.network(),
-                          {.drop_request = 0.2, .drop_response = 0.2,
-                           .seed = 11});
+  chaos::ChaosNetwork flaky(cluster.network(), /*seed=*/11);
+  const chaos::ChaosNetwork::EdgePolicy lossy{.drop_request = 0.2,
+                                              .drop_response = 0.2};
+  flaky.SetEdgePolicy(kCoordinatorNode, lossy);
+  for (NodeId broker : cluster.BrokerNodes()) {
+    flaky.SetEdgePolicy(broker, lossy);
+  }
   rpc::StreamOptions opts;
   opts.num_streamlets = 1;
   opts.replication_factor = 2;
@@ -113,7 +118,10 @@ TEST(ProducerEdgeTest, RetriesAbsorbFlakyTransport) {
   pc.chunk_size = 512;
   pc.request_retries = 50;
   Producer producer(pc, flaky);
-  ASSERT_TRUE(producer.Connect().ok());
+  // Connect is one unretried metadata call, so the caller retries it (the
+  // coordinator edge is lossy too); the consumer below does the same.
+  ASSERT_TRUE(producer.Connect().ok() || producer.Connect().ok() ||
+              producer.Connect().ok());
   constexpr int kRecords = 500;
   for (int i = 0; i < kRecords; ++i) {
     ASSERT_TRUE(producer.Send(AsBytes("f" + std::to_string(i))).ok());
@@ -461,29 +469,23 @@ TEST(ConsumerEdgeTest, LongPollEliminatesIdleEmptyResponses) {
   opts.replication_factor = 1;
   ASSERT_TRUE(cluster.coordinator().CreateStream("s", opts).ok());
 
-  // Baseline: long-poll disabled, the consumer spins empty rounds.
-  uint64_t polled_empties = 0;
-  {
-    ConsumerConfig cc;
-    cc.stream = "s";
-    cc.fetch_max_wait_us = 0;
-    Consumer consumer(cc, cluster.network());
-    ASSERT_TRUE(consumer.Connect().ok());
-    std::this_thread::sleep_for(std::chrono::milliseconds(300));
-    polled_empties = consumer.GetStats().empty_responses;
-    consumer.Close();
-  }
-
-  // Long-poll: idle fetches park at the broker instead.
+  // Long-poll is the only idle mode: a zero wait (which would spin empty
+  // rounds) is refused.
   ConsumerConfig cc;
   cc.stream = "s";
+  cc.fetch_max_wait_us = 0;
+  {
+    Consumer spinning(cc, cluster.network());
+    EXPECT_EQ(spinning.Connect().code(), StatusCode::kInvalidArgument);
+  }
+
+  // Idle fetches park at the broker instead of returning empty.
   cc.fetch_max_wait_us = 100'000;
   Consumer consumer(cc, cluster.network());
   ASSERT_TRUE(consumer.Connect().ok());
   std::this_thread::sleep_for(std::chrono::milliseconds(300));
   uint64_t parked_empties = consumer.GetStats().empty_responses;
 
-  EXPECT_GT(polled_empties, 50u);
   EXPECT_LE(parked_empties, 8u);
   EXPECT_GE(cluster.TotalBrokerStats().consume_long_polls, 1u);
 

@@ -8,6 +8,7 @@
 
 #include "backup/backup.h"
 #include "broker/broker.h"
+#include "chaos/chaos_net.h"
 #include "rpc/transport.h"
 #include "wire/chunk.h"
 
@@ -27,45 +28,48 @@ std::vector<std::byte> MakeChunk(StreamId stream, StreamletId streamlet,
   return {bytes.begin(), bytes.end()};
 }
 
-TEST(FlakyNetworkTest, DropsConfiguredFraction) {
-  rpc::DirectNetwork inner;
-  class Echo final : public rpc::RpcHandler {
-   public:
-    std::vector<std::byte> HandleRpc(std::span<const std::byte> r) override {
-      ++calls;
-      return {r.begin(), r.end()};
-    }
-    int calls = 0;
-  } echo;
-  inner.Register(1, &echo);
+/// Counts the requests that reach it and echoes them back.
+class EchoHandler final : public rpc::RpcHandler {
+ public:
+  std::vector<std::byte> HandleRpc(std::span<const std::byte> r) override {
+    ++calls;
+    return {r.begin(), r.end()};
+  }
+  int calls = 0;
+};
 
-  rpc::FlakyNetwork flaky(inner, {.drop_request = 0.3, .drop_response = 0.0,
-                                  .seed = 7});
+TEST(ChaosNetworkDropTest, DropsConfiguredFraction) {
+  rpc::DirectNetwork inner;
+  EchoHandler echo;
+  inner.Register(1, &echo);
+  chaos::ChaosNetwork net(inner, /*seed=*/7);
+  net.SetEdgePolicy(1, {.drop_request = 0.3});
   int failures = 0;
   for (int i = 0; i < 1000; ++i) {
-    if (!flaky.Call(1, AsBytes("x")).ok()) ++failures;
+    if (!net.Call(1, AsBytes("x")).ok()) ++failures;
   }
   EXPECT_NEAR(failures, 300, 60);
   EXPECT_EQ(echo.calls, 1000 - failures);  // dropped before the handler
-  auto stats = flaky.GetStats();
+  auto stats = net.GetStats();
+  EXPECT_EQ(stats.calls, 1000u);
   EXPECT_EQ(stats.dropped_requests, uint64_t(failures));
+  EXPECT_EQ(stats.dropped_responses, 0u);
 }
 
-TEST(FlakyNetworkTest, ResponseDropRunsHandlerButFailsCaller) {
+TEST(ChaosNetworkDropTest, ResponseDropRunsHandlerButFailsCaller) {
   rpc::DirectNetwork inner;
-  class Echo final : public rpc::RpcHandler {
-   public:
-    std::vector<std::byte> HandleRpc(std::span<const std::byte> r) override {
-      ++calls;
-      return {r.begin(), r.end()};
-    }
-    int calls = 0;
-  } echo;
+  EchoHandler echo;
   inner.Register(1, &echo);
-  rpc::FlakyNetwork flaky(inner, {.drop_request = 0.0, .drop_response = 1.0,
-                                  .seed = 3});
-  EXPECT_FALSE(flaky.Call(1, AsBytes("x")).ok());
+  chaos::ChaosNetwork net(inner, /*seed=*/3);
+  net.SetEdgePolicy(1, {.drop_response = 1.0});
+  auto r = net.Call(1, AsBytes("x"));
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kUnavailable);
   EXPECT_EQ(echo.calls, 1);  // side effect happened; response was lost
+  EXPECT_EQ(net.GetStats().dropped_responses, 1u);
+  // The async paths apply the same coin after delivery.
+  EXPECT_FALSE(net.CallAsync(1, AsBytes("y")).get().ok());
+  EXPECT_EQ(echo.calls, 2);
 }
 
 /// Broker + 2 backups over a flaky network; a client loop retries every
@@ -73,8 +77,7 @@ TEST(FlakyNetworkTest, ResponseDropRunsHandlerButFailsCaller) {
 class FlakyProduceTest : public ::testing::Test {
  protected:
   FlakyProduceTest()
-      : flaky_(inner_, {.drop_request = 0.15, .drop_response = 0.15,
-                        .seed = 42}),
+      : flaky_(inner_, /*seed=*/42),
         backup2_(BackupConfig{.node = 2, .storage_dir = ""}),
         backup3_(BackupConfig{.node = 3, .storage_dir = ""}) {
     BrokerConfig bc;
@@ -87,6 +90,10 @@ class FlakyProduceTest : public ::testing::Test {
     broker_ = std::make_unique<Broker>(bc, flaky_);
     inner_.Register(BackupServiceId(2), &backup2_);
     inner_.Register(BackupServiceId(3), &backup3_);
+    for (NodeId backup : {BackupServiceId(2), BackupServiceId(3)}) {
+      flaky_.SetEdgePolicy(backup,
+                           {.drop_request = 0.15, .drop_response = 0.15});
+    }
 
     rpc::StreamInfo info;
     info.stream = 1;
@@ -98,7 +105,7 @@ class FlakyProduceTest : public ::testing::Test {
   }
 
   rpc::DirectNetwork inner_;
-  rpc::FlakyNetwork flaky_;
+  chaos::ChaosNetwork flaky_;
   Backup backup2_;
   Backup backup3_;
   std::unique_ptr<Broker> broker_;
